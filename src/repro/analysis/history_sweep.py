@@ -286,7 +286,7 @@ def sweep_workload(
 def _sweep_stream(label: str, reader, config: SweepConfig) -> TraceSweep:
     """Bounded-memory sweep over a chunk reader (two passes: profile,
     then the chunked multi-configuration simulation)."""
-    from ..engine.streaming import simulate_batched_stream, simulate_stream
+    from ..engine import simulate_batched_stream, simulate_stream
 
     part = _empty_part(label, config)
     if len(reader) == 0:

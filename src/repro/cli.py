@@ -59,6 +59,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+from .engine.backend import BACKENDS
 from .errors import ConfigurationError, LockTimeout, ReproError
 from .experiments import ExperimentContext, all_experiment_ids, get_experiment
 from .pipeline import RetryPolicy
@@ -177,21 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--backend",
-        choices=("auto", "python", "numba", "cext"),
+        choices=BACKENDS,
         default=None,
         help=(
             "compiled-kernel backend for reference-path families "
             "(default: $REPRO_ENGINE_BACKEND or auto; see "
             "docs/PERFORMANCE.md)"
-        ),
-    )
-    sim.add_argument(
-        "--workers",
-        default=None,
-        metavar="N",
-        help=(
-            "intra-trace workers for streamed sweep workloads: a count "
-            "or 'auto' (default: $REPRO_SWEEP_WORKERS or 1)"
         ),
     )
     _add_context_options(sim)
@@ -1102,19 +1094,6 @@ def _run_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _parse_workers(value: str | None) -> int | str | None:
-    """Parse ``--workers``: None passes through, 'auto' stays symbolic,
-    anything else must be a positive integer."""
-    if value is None or value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"--workers must be a positive integer or 'auto', got {value!r}"
-        ) from None
-
-
 def _run_backends() -> int:
     import os
 
@@ -1135,9 +1114,7 @@ def _run_backends() -> int:
 def _run_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     context = _context_from(args)
-    session = context.session(
-        backend=args.backend, workers=_parse_workers(args.workers)
-    )
+    session = context.session(backend=args.backend)
     if args.workload is not None:
         workload = resolve_workload(args.workload, scale=args.scale)
         # A suite simulates per member (mirroring the per-benchmark

@@ -4,42 +4,29 @@
 that supports the predictor and produces identical
 :class:`SimulationResult` objects whichever engine runs.
 
-Engine-selection guide (see ``docs/ENGINES.md`` for the full story):
+There is one engine plus an oracle (see ``docs/ENGINES.md``):
 
 ``reference`` (:func:`simulate_reference`)
     Step-accurate Python loop: predict, compare, train — exactly the
-    paper's modified ``sim-bpred``.  Supports **every** predictor
-    (YAGS, bi-mode, filter, DHLF, oracle, …).  The semantic ground
-    truth; ~10⁵ steps/s.
+    paper's modified ``sim-bpred``.  Supports **every** predictor.  The
+    semantic ground truth every other path is tested against.
 
-``vectorized`` (:func:`simulate_vectorized`)
-    Array simulation of one predictor via sliding-window histories and
-    segmented counter scans.  Supports the two-level family
-    (PAs/GAs/gshare/gselect/pshare/bimodal), static predictors, the
-    agree predictor, tournament predictors, and class-routed hybrids
-    whose components are themselves supported.  Bit-exact with the
-    reference engine at 50–100× the speed.
+carriers (:func:`stream_simulator`, :class:`~repro.engine.batched.BatchedStream`)
+    One chunked simulator per predictor family, carrying all predictor
+    state between chunks: segmented-scan arrays for the two-level
+    family (many configurations in one pass), agree, tournament,
+    class-routed hybrids and static predictors; compiled per-record
+    kernels for YAGS/bi-mode/filter/DHLF (:mod:`repro.engine.backend`).
+    The streamed entry points (:func:`simulate_stream`,
+    :func:`simulate_batched_stream`, :func:`simulate_sweep_stream`)
+    feed them an iterator of chunks with peak memory O(chunk); the
+    in-memory ones (:func:`simulate_vectorized`,
+    :func:`simulate_batched`, :func:`simulate_sweep`, ...) feed them
+    the whole trace as one chunk.
 
-``batched`` (:func:`simulate_batched` / :func:`simulate_sweep`)
-    Multi-configuration engine: simulates *many* two-level
-    configurations over one trace in a single pass, sharing history
-    windows, PC encoding, and stacked segmented scans across the batch.
-    This is what :func:`repro.analysis.history_sweep.run_sweep` uses
-    for the paper's 34-configuration sweep (several-fold faster than
-    per-config vectorized runs, still bit-exact).
-
-``auto``
-    Vectorized when supported, reference otherwise.  Sweep-level code
-    additionally upgrades to the batched engine on ``"auto"``.
-
-``streaming`` (:func:`simulate_stream` / :func:`simulate_sweep_stream`)
-    Bounded-memory counterparts of the above: consume an *iterator of
-    trace chunks* (e.g. a :class:`~repro.trace.io.TraceReader` over a
-    chunked ``.rbt`` v2 file) with peak memory O(chunk) instead of
-    O(trace), carrying all predictor state across chunk boundaries.
-    Bit-identical to the in-memory engines; see ``docs/TRACES.md``.
-
-Callers can pass either a stateful
+``engine`` names which carrier may run: ``"vectorized"`` the array
+carriers, ``"batched"`` the two-level one, ``"auto"`` the fastest
+available.  Callers can pass either a stateful
 :class:`~repro.predictors.base.BranchPredictor` or a declarative
 :class:`~repro.spec.PredictorSpec` — specs are built on the way in.
 For many jobs at once, prefer :class:`repro.session.Session`, which
@@ -48,17 +35,9 @@ plans spec jobs into batched invocations (see ``docs/API.md``).
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
 from ..predictors.base import BranchPredictor
 from ..spec import PredictorSpec, build_predictor
 from ..trace.stream import Trace
-from .batched import (
-    BatchedSweepResult,
-    predictions_batched,
-    simulate_batched,
-    simulate_sweep,
-    supports_batched,
-)
 from .backend import (
     BACKENDS,
     backend_availability,
@@ -66,18 +45,25 @@ from .backend import (
     resolve_backend,
     supports_compiled,
 )
-from .parallel import resolve_workers, supports_parallel_sweep
+from .batched import (
+    BatchedSweepResult,
+    predictions_batched,
+    simulate_batched,
+    simulate_batched_stream,
+    simulate_sweep,
+    simulate_sweep_stream,
+    supports_batched,
+)
 from .reference import simulate_reference
 from .results import BranchResult, SimulationResult
 from .scan import counter_step_table, segmented_automaton_scan, segmented_saturating_scan
 from .streaming import (
-    simulate_batched_stream,
+    predictions_vectorized,
     simulate_stream,
-    simulate_sweep_stream,
+    simulate_vectorized,
     stream_simulator,
-    supports_stream_vectorized,
+    supports_vectorized,
 )
-from .vectorized import predictions_vectorized, simulate_vectorized, supports_vectorized
 
 __all__ = [
     "simulate",
@@ -93,14 +79,11 @@ __all__ = [
     "predictions_batched",
     "supports_vectorized",
     "supports_batched",
-    "supports_stream_vectorized",
     "BACKENDS",
     "backend_availability",
     "compiled_stream",
     "resolve_backend",
-    "resolve_workers",
     "supports_compiled",
-    "supports_parallel_sweep",
     "BatchedSweepResult",
     "SimulationResult",
     "BranchResult",
@@ -127,59 +110,20 @@ def simulate(
     trace:
         Branch stream in program order.
     engine:
-        ``"auto"`` (vectorized when supported, compiled per-record
-        kernels for the YAGS/bi-mode/filter/DHLF families, reference
-        otherwise), ``"vectorized"`` (error if unsupported),
-        ``"batched"`` (two-level family only; single-predictor entry to
-        the multi-config engine), or ``"reference"``.
+        ``"auto"`` (the array carrier when supported, compiled
+        per-record kernels for the YAGS/bi-mode/filter/DHLF families,
+        reference otherwise), ``"vectorized"`` (error if unsupported),
+        ``"batched"`` (two-level family only; a one-configuration
+        batch), or ``"reference"`` (the oracle).
     backend:
         Compiled-kernel implementation for the reference-path families
-        (``python``/``numba``/``cext``/``auto``; see
-        :mod:`repro.engine.backend` and docs/PERFORMANCE.md).  Default:
-        ``REPRO_ENGINE_BACKEND``, else auto-detect.
+        (``python``/``cext``/``auto``; see :mod:`repro.engine.backend`
+        and docs/PERFORMANCE.md).  Default: ``REPRO_ENGINE_BACKEND``,
+        else auto-detect.
     """
     predictor = build_predictor(predictor)
-    if engine == "auto":
-        if supports_vectorized(predictor):
-            return simulate_vectorized(predictor, trace)
-        compiled = _simulate_compiled(predictor, trace, backend)
-        if compiled is not None:
-            return compiled
-        return simulate_reference(predictor, trace)
-    if engine == "vectorized":
-        return simulate_vectorized(predictor, trace)
-    if engine == "batched":
-        return simulate_batched([predictor], trace)[0]
     if engine == "reference":
         return simulate_reference(predictor, trace)
-    raise ConfigurationError(
-        f"unknown engine {engine!r}; expected 'auto', 'vectorized', "
-        "'batched' or 'reference'"
-    )
-
-
-def _simulate_compiled(
-    predictor: BranchPredictor, trace: Trace, backend: str | None
-) -> SimulationResult | None:
-    """Whole-trace simulation through a compiled per-record kernel, or
-    None when the family has none (caller falls back to reference)."""
-    import numpy as np
-
-    from .backend import compiled_stream
-
-    stream = compiled_stream(predictor, backend)
-    if stream is None:
-        return None
-    predictions = stream.feed(trace.pcs, trace.outcomes)
-    unique_pcs, codes = np.unique(trace.pcs, return_inverse=True)
-    executions = np.bincount(codes, minlength=len(unique_pcs)).astype(np.int64)
-    miss_counts = np.bincount(
-        codes[predictions != trace.outcomes], minlength=len(unique_pcs)
-    ).astype(np.int64)
-    return SimulationResult(
-        unique_pcs,
-        executions,
-        miss_counts,
-        predictor_name=predictor.name,
-        trace_name=trace.name,
+    return simulate_stream(
+        predictor, [trace], engine=engine, backend=backend, trace_name=trace.name
     )

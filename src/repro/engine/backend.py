@@ -8,15 +8,12 @@ a time.  This module picks *how* that per-record loop runs:
     The :mod:`repro.engine.compiled.kernels` loops interpreted by
     CPython.  Always available; bit-identical to the stateful
     reference predictors.
-``numba``
-    The same loops jitted by numba (:mod:`repro.engine.compiled.njit`).
-    Available only when numba is importable.
 ``cext``
     A C transliteration built on demand with the host C compiler and
     loaded through ctypes (:mod:`repro.engine.compiled.cext`).
     Available when a working compiler is found.
 ``auto``
-    The fastest available: ``numba`` → ``cext`` → ``python``.
+    The fastest available: ``cext``, else ``python``.
 
 Selection order: explicit argument (``--backend`` on the CLI,
 ``backend=`` in the API) beats the ``REPRO_ENGINE_BACKEND`` environment
@@ -39,7 +36,7 @@ from ..predictors.dhlf import DhlfPredictor
 from ..predictors.filter import FilterPredictor
 from ..predictors.twolevel import TwoLevelPredictor
 from ..predictors.yags import YagsPredictor
-from .compiled import cext, kernels, njit
+from .compiled import cext, kernels
 
 __all__ = [
     "BACKENDS",
@@ -50,7 +47,7 @@ __all__ = [
 ]
 
 #: Recognised values of ``REPRO_ENGINE_BACKEND`` / ``--backend``.
-BACKENDS = ("auto", "python", "numba", "cext")
+BACKENDS = ("auto", "python", "cext")
 
 _KERNEL_NAMES = ("yags_step", "bimode_step", "filter_step", "dhlf_step")
 
@@ -59,22 +56,20 @@ def backend_availability() -> dict[str, tuple[bool, str]]:
     """``{backend: (usable, reason)}`` for every concrete backend.
 
     Probing ``cext`` triggers (at most once per process) an on-demand
-    compile of the C kernels; probing ``numba`` only attempts the
-    import, so the first jitted call still pays compilation.
+    compile of the C kernels.
     """
     return {
         "python": (True, "interpreted kernels (always available)"),
-        "numba": njit.available(),
         "cext": cext.available(),
     }
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """The concrete backend to use: ``python``, ``numba`` or ``cext``.
+    """The concrete backend to use: ``python`` or ``cext``.
 
     ``None`` defers to ``REPRO_ENGINE_BACKEND`` (default ``auto``).
-    ``auto`` prefers numba, then the C extension, then the interpreted
-    kernels; naming an unavailable backend raises.
+    ``auto`` prefers the C extension, then the interpreted kernels;
+    naming an unavailable backend raises.
     """
     if backend is None:
         backend = os.environ.get("REPRO_ENGINE_BACKEND", "auto") or "auto"
@@ -83,13 +78,9 @@ def resolve_backend(backend: str | None = None) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     if backend == "auto":
-        for candidate in ("numba", "cext"):
-            usable, _ = backend_availability()[candidate]
-            if usable:
-                return candidate
-        return "python"
-    if backend != "python":
-        usable, reason = backend_availability()[backend]
+        return "cext" if cext.available()[0] else "python"
+    if backend == "cext":
+        usable, reason = cext.available()
         if not usable:
             raise ConfigurationError(f"backend {backend!r} is unavailable: {reason}")
     return backend
@@ -98,9 +89,6 @@ def resolve_backend(backend: str | None = None) -> str:
 def _kernel_table(resolved: str) -> dict[str, object]:
     if resolved == "python":
         return {name: getattr(kernels, name) for name in _KERNEL_NAMES}
-    if resolved == "numba":
-        return njit.load()
-    assert resolved == "cext"
     return cext.load()
 
 
@@ -119,10 +107,10 @@ def supports_compiled(predictor) -> bool:
 
 # -- per-family kernel streams -------------------------------------------------
 #
-# Each stream owns the flat state arrays of one freshly-reset predictor
-# and exposes the same ``feed(pcs, outcomes) -> predictions`` protocol
-# as the carriers in repro.engine.streaming, so stream_simulator can
-# route to them transparently.
+# Each stream is a carrier: it owns the flat state arrays of one
+# freshly-reset predictor and exposes the same
+# ``feed(pcs, outcomes) -> predictions`` protocol as the carriers in
+# repro.engine.streaming, so stream_simulator can route to them.
 
 
 class _KernelStream:

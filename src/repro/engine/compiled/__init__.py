@@ -9,9 +9,7 @@ without changing a single emitted bit:
 
 * :mod:`.kernels` — the per-record loops rewritten over flat array
   state (no objects, no dicts).  Plain Python here; this is the
-  jittable/portable source of truth that the other backends mirror.
-* :mod:`.njit` — the same kernels compiled with numba when it is
-  importable (``pip install numba``; never required).
+  portable source of truth that the C backend mirrors.
 * :mod:`.cext` — a tiny C mirror of the kernels built on demand with
   the host C compiler and loaded through :mod:`ctypes` (stdlib only).
 

@@ -2,8 +2,8 @@
 
 Each kernel advances one predictor over one chunk of records, reading
 and mutating *flat numpy state* only — scalars travel in a small
-``regs`` int64 array so the same function signature works interpreted,
-numba-jitted and as a ctypes-loaded C routine.  The bodies transcribe
+``regs`` int64 array so the same function signature works interpreted
+and as a ctypes-loaded C routine.  The bodies transcribe
 the stateful predictors in :mod:`repro.predictors` operation for
 operation; any divergence is a bug (pinned by
 ``tests/test_engine_backend.py`` against the reference engine).
@@ -18,13 +18,13 @@ Conventions shared by every kernel:
   :class:`repro.predictors.history.HistoryRegister`.
 
 The code style is deliberately C-like (indexed loops, no comprehensions,
-no dict/set/object use): numba compiles it as-is, and the C mirror in
-:mod:`.cext` stays a line-for-line transliteration.
+no dict/set/object use), so the C mirror in :mod:`.cext` stays a
+line-for-line transliteration.
 """
 
 from __future__ import annotations
 
-# -- register/param layouts (shared with .njit and .cext) ---------------------
+# -- register/param layouts (shared with .cext) ------------------------------
 
 #: ``regs`` slots of :func:`yags_step` / :func:`bimode_step`.
 HIST = 0

@@ -1,20 +1,22 @@
-"""Simulation result containers.
+"""Simulation result containers and the per-PC attribution that fills them.
 
 A predictor simulation produces, for every static branch, how many
 times it executed and how many of those executions were mispredicted.
 :class:`SimulationResult` stores those per-PC columns and derives the
 aggregate and per-branch miss rates every analysis in the paper is
-built from.
+built from; :func:`_attribute_chunks` counts them from a carrier's
+per-step predictions, chunk by chunk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TraceError
+from ..trace.stream import Trace
 
 __all__ = ["BranchResult", "SimulationResult"]
 
@@ -151,3 +153,61 @@ class SimulationResult(Mapping[int, BranchResult]):
             f"SimulationResult(predictor={self.predictor_name!r}, "
             f"trace={self.trace_name!r}, miss_rate={self.miss_rate:.4f})"
         )
+
+
+# -- per-PC attribution ---------------------------------------------------------
+
+
+def _attribute_chunks(
+    feed, predictors, chunks: Iterable, trace_name: str | None = None
+) -> list[SimulationResult]:
+    """Feed every chunk to a carrier and attribute its misses per PC.
+
+    ``feed(pcs, outcomes)`` returns one prediction array per entry of
+    ``predictors`` for a chunk.  Chunks are
+    :class:`~repro.trace.stream.Trace` objects or ``(pcs, outcomes)``
+    pairs.  The result's trace name is ``trace_name``, else the first
+    named chunk's.  This is the per-PC attribution of every engine
+    except the reference oracle, which keeps its own.
+    """
+    pcs_axis = np.zeros(0, dtype=np.int64)
+    # Row 0 counts executions; row 1 + i counts predictor i's misses.
+    counts = np.zeros((len(predictors) + 1, 0), dtype=np.int64)
+    name = trace_name
+    for chunk in chunks:
+        if isinstance(chunk, Trace):
+            pcs, outcomes = chunk.pcs, chunk.outcomes
+            if name is None and chunk.name:
+                name = chunk.name
+        else:
+            pcs, outcomes = chunk
+            pcs = np.asarray(pcs, dtype=np.int64)
+            outcomes = np.asarray(outcomes, dtype=np.uint8)
+        if len(pcs) == 0:
+            continue
+        predictions = feed(pcs, outcomes)
+        chunk_pcs, codes = np.unique(pcs, return_inverse=True)
+        # The first chunk's sorted unique PCs are the axis as they stand.
+        merged = np.union1d(pcs_axis, chunk_pcs) if len(pcs_axis) else chunk_pcs
+        if len(merged) > len(pcs_axis):
+            # New PCs: move the counts onto the widened sorted axis.
+            grown = np.zeros((len(counts), len(merged)), dtype=np.int64)
+            grown[:, np.searchsorted(merged, pcs_axis)] = counts
+            pcs_axis, counts = merged, grown
+        rows = np.searchsorted(pcs_axis, chunk_pcs)
+        width = len(chunk_pcs)
+        counts[0, rows] += np.bincount(codes, minlength=width)
+        for row, predicted in enumerate(predictions, 1):
+            # Misses are 0/1, so counting the missed codes directly
+            # beats a weighted bincount over the whole chunk.
+            counts[row, rows] += np.bincount(codes[predicted != outcomes], minlength=width)
+    return [
+        SimulationResult(
+            pcs_axis,
+            counts[0],
+            counts[row],
+            predictor_name=predictor.name,
+            trace_name=name or "",
+        )
+        for row, predictor in enumerate(predictors, 1)
+    ]

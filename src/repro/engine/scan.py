@@ -1,6 +1,6 @@
 """Segmented prefix scans over finite-state automata.
 
-The vectorized engine reduces saturating-counter evolution to this
+The array carriers reduce saturating-counter evolution to this
 problem: given a sequence of input symbols partitioned into independent
 segments (one segment per pattern-history-table entry), compute the
 automaton state *before* each step, where every segment starts from the
@@ -16,19 +16,9 @@ in Python.
 Both scans accept the initial state either as a scalar (every segment
 starts there — the cold-start case) or as a per-element array whose
 value is constant within each segment (each segment resumes from its
-own carried state) — the hook the streaming engines
-(:mod:`repro.engine.streaming`) use to continue counter evolution
-across chunk boundaries bit-exactly.
-
-The same algebra also supports *speculative* chunk execution
-(:mod:`repro.engine.parallel`): a chunk's effect on a counter is a
-monoid element independent of the counter's entry state
-(:func:`segmented_monoid_scan` returns interned function ids instead
-of states), and a chunk's effect on a shift-register history is the
-pair ``(shift, bits)`` (:func:`history_effect`), closed under
-composition (:func:`compose_history_effects`).  Workers can therefore
-summarize chunks in parallel before any chunk's entry state is known,
-and a cheap serial pass stitches the summaries together bit-exactly.
+own carried state) — the hook the chunked carriers
+(:mod:`repro.engine.batched`, :mod:`repro.engine.streaming`) use to
+continue counter evolution across chunk boundaries bit-exactly.
 """
 
 from __future__ import annotations
@@ -42,13 +32,9 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "ClampMonoid",
-    "apply_history_effect",
     "clamp_monoid",
-    "compose_history_effects",
     "counter_step_table",
-    "history_effect",
     "segmented_automaton_scan",
-    "segmented_monoid_scan",
     "segmented_saturating_scan",
     "stable_key_order",
 ]
@@ -68,7 +54,8 @@ def stable_key_order(keys: np.ndarray, key_bits: int) -> np.ndarray:
         return np.argsort(keys.astype(np.uint16), kind="stable")
     if key_bits <= 32:
         order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-        high = (keys >> 16).astype(np.uint16)
+        # One byte of high bits sorts in one radix pass.
+        high = (keys >> 16).astype(np.uint8 if key_bits <= 24 else np.uint16)
         return order[np.argsort(high[order], kind="stable")]
     return np.argsort(keys, kind="stable")
 
@@ -291,17 +278,13 @@ class ClampMonoid(NamedTuple):
       ``cur``",
     * ``values[id, state]`` — the function's value table,
     * ``constant[id]`` — True when the function is constant (its window
-      can never change by extending further left),
-    * ``identity`` — id of the identity function (an empty window; not
-      reachable from any nonempty inc/dec word, so appending it leaves
-      the generated ids untouched).
+      can never change by extending further left).
     """
 
     step_ids: np.ndarray
     compose: np.ndarray
     values: np.ndarray
     constant: np.ndarray
-    identity: int
 
 
 @lru_cache(maxsize=None)
@@ -325,10 +308,6 @@ def _clamp_monoid(max_state: int) -> ClampMonoid:
                     fresh.append(composed)
         frontier = fresh
 
-    identity_tuple = tuple(states)
-    if identity_tuple not in ids:
-        ids[identity_tuple] = len(ids)
-
     functions = sorted(ids, key=ids.get)
     size = len(functions)
     compose = np.empty((size, size), dtype=np.uint8)
@@ -338,7 +317,7 @@ def _clamp_monoid(max_state: int) -> ClampMonoid:
     values = np.array(functions, dtype=np.uint8)
     constant = (values == values[:, :1]).all(axis=1)
     step_ids = np.array([ids[dec], ids[inc]], dtype=np.uint8)
-    return ClampMonoid(step_ids, compose, values, constant, ids[identity_tuple])
+    return ClampMonoid(step_ids, compose, values, constant)
 
 
 def clamp_monoid(max_state: int) -> ClampMonoid:
@@ -362,7 +341,14 @@ def _monoid_after_ids(
     *including* step ``i``."""
     n = len(taken)
     monoid = _clamp_monoid(max_state)
-    step_ids, compose, constant = monoid.step_ids, monoid.compose, monoid.constant
+    step_ids, constant = monoid.step_ids, monoid.constant
+    # compose[cur, prev] through a flat table: one gather at
+    # cur * size + prev is cheaper than two-array fancy indexing.
+    size = len(constant)
+    flat_compose = monoid.compose.ravel()
+
+    def compose(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        return flat_compose[cur.astype(np.intp) * size + prev]
 
     ids = step_ids[np.asarray(taken, dtype=np.uint8)]
     if constant[step_ids].any():  # 1-bit counters: single steps saturate
@@ -374,57 +360,27 @@ def _monoid_after_ids(
     # so shifted whole-array operations beat gathering through an index
     # vector.  Operand snapshots keep the overlapping views read-safe.
     if n > 1:
-        composed = compose[ids[1:], ids[:-1]]
+        composed = compose(ids[1:], ids[:-1])
         prev_done = done[:-1].copy()
         extend = ~done[1:]
         ids[1:] = np.where(extend, composed, ids[1:])
         done[1:] |= extend & (prev_done | constant[composed])
     active = np.flatnonzero(~done)
 
+    # An element still active before a pass at ``offset`` holds a full
+    # ``offset``-step window that has not reached its segment start, so
+    # it sits at ``offset`` or later: its predecessor window exists.
     offset = 2
-    while offset < n and active.size:
-        idx = active[active >= offset]
-        if idx.size == 0:
-            break
-        prev = idx - offset
+    while active.size:
+        prev = active - offset
         prev_done = done[prev]
-        new_ids = compose[ids[idx], ids[prev]]
-        ids[idx] = new_ids
+        new_ids = compose(ids[active], ids[prev])
+        ids[active] = new_ids
         finished = prev_done | constant[new_ids]
-        done[idx] = finished
+        done[active] = finished
         offset <<= 1
-        active = idx[~finished]
+        active = active[~finished]
     return ids
-
-
-def segmented_monoid_scan(
-    taken: np.ndarray, segment_starts: np.ndarray, max_state: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step clamp-function ids of a segmented counter scan.
-
-    Returns ``(before_ids, after_ids)``: ``after_ids[i]`` composes the
-    segment's steps through ``i``; ``before_ids[i]`` excludes step ``i``
-    (the monoid identity at segment starts).  Unlike
-    :func:`segmented_saturating_scan`, the result is independent of any
-    initial state — the hook speculative chunk execution uses to
-    summarize a chunk before its entry states are known, then evaluate
-    ``values[before_ids[i], entry_state]`` once they are.
-    """
-    n = len(taken)
-    monoid = clamp_monoid(max_state)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.uint8)
-        return empty, empty
-    segment_starts = np.asarray(segment_starts, dtype=bool)
-    if len(segment_starts) != n:
-        raise ConfigurationError("segment_starts must align with inputs")
-    if not segment_starts[0]:
-        raise ConfigurationError("position 0 must start a segment")
-    after_ids = _monoid_after_ids(taken, segment_starts, max_state)
-    before_ids = np.empty(n, dtype=np.uint8)
-    before_ids[1:] = after_ids[:-1]
-    before_ids[segment_starts] = monoid.identity
-    return before_ids, after_ids
 
 
 def _saturating_scan_tabled(
@@ -474,43 +430,3 @@ def _states_before(
         state_before[0] = initial_state
         state_before[segment_starts] = initial_state
     return state_before
-
-
-# -- history registers as shift-map effects -----------------------------------
-#
-# Pushing a run of outcomes through a k-bit shift register is the map
-# value -> ((value << s) | v) & mask, where s = min(run length, k) and
-# v packs the run's last s outcomes.  These maps are closed under
-# composition, so a chunk's effect on every history register can be
-# summarized without knowing the register's starting value — the
-# shift-register counterpart of the clamp monoid above, and the other
-# half of what speculative chunk execution needs.
-
-
-def history_effect(outcomes: np.ndarray, bits: int) -> tuple[int, int]:
-    """The ``(shift, value)`` effect of pushing ``outcomes`` (oldest
-    first, 0/1) through a ``bits``-wide shift register."""
-    if bits < 0:
-        raise ConfigurationError(f"history length must be >= 0, got {bits}")
-    shift = min(len(outcomes), bits)
-    if shift == 0:
-        return 0, 0
-    tail = np.asarray(outcomes[-shift:], dtype=np.int64)
-    weights = np.int64(1) << np.arange(shift - 1, -1, -1, dtype=np.int64)
-    return shift, int(tail @ weights)
-
-
-def compose_history_effects(
-    first: tuple[int, int], second: tuple[int, int], bits: int
-) -> tuple[int, int]:
-    """The effect of applying ``first`` then ``second``."""
-    first_shift, first_value = first
-    second_shift, second_value = second
-    shift = min(first_shift + second_shift, bits)
-    return shift, ((first_value << second_shift) | second_value) & ((1 << shift) - 1)
-
-
-def apply_history_effect(value: int, effect: tuple[int, int], bits: int) -> int:
-    """The register value after an effect, from the value before it."""
-    shift, pushed = effect
-    return ((value << shift) | pushed) & ((1 << bits) - 1)

@@ -1,33 +1,37 @@
-"""Bounded-memory streaming simulation.
+"""Carriers for single predictors of every family.
 
-The in-memory engines (:mod:`repro.engine.vectorized`,
-:mod:`repro.engine.batched`) require the whole trace as numpy columns,
-so peak memory is O(trace).  This module simulates the same predictors
-over an *iterator of chunks* (typically a
-:class:`~repro.trace.io.TraceReader` over a chunked ``.rbt`` v2 file)
-with peak memory O(chunk), by carrying every piece of predictor state
-across chunk boundaries explicitly:
+A *carrier* simulates one chunk of a branch stream at a time and keeps
+all predictor state between chunks: :func:`stream_simulator` returns
+one whose ``feed(pcs, outcomes)`` yields the chunk's per-step
+predictions.  Every simulation except the reference oracle runs
+through a carrier.  :func:`simulate_stream` feeds it an iterator of
+chunks (typically a :class:`~repro.trace.io.TraceReader` over a chunked
+``.rbt`` v2 file) with peak memory O(chunk); the in-memory entry points
+:func:`simulate_vectorized` and :func:`predictions_vectorized` feed it
+the whole trace as one chunk.
 
-* **history registers** — the global history register and the
-  per-address BHT rows are carried as integers/arrays; in-chunk history
-  windows are computed exactly as in the vectorized engine and the
-  carried bits are OR-ed into each step's window at its genuine depth;
-* **counter tables** — pattern-history, bias, and chooser tables are
-  carried as arrays, and the segmented scans resume each segment from
-  its entry's carried value (the per-segment-initial form of
-  :func:`~repro.engine.scan.segmented_saturating_scan`);
-* **component state** — tournament and class-routed-hybrid streams
-  carry their components' streams recursively.
+What each family carries between chunks:
 
-Every path is **bit-identical** to the corresponding cold-start
-in-memory simulation (pinned by ``tests/test_engine_streaming.py`` over
-every registered predictor family and chunk lengths down to 1):
-:func:`simulate_stream` equals :func:`repro.engine.simulate`, and
-:func:`simulate_sweep_stream` equals
-:func:`repro.engine.batched.simulate_sweep`.  Predictors outside the
-vectorized family (YAGS, bi-mode, filter, DHLF, oracle, …) stream
-through the stateful reference predictor, which is trivially
-chunk-oblivious.
+* **two-level / bimodal** — a one-configuration
+  :class:`~repro.engine.batched.BatchedStream`: history registers and
+  the PHT;
+* **agree** — the latched biasing bits, the global history register
+  and the agree/disagree PHT;
+* **tournament** — both component carriers and the PC-indexed chooser
+  table, a three-symbol automaton (decrement / increment / hold, the
+  hold firing when the components agree in correctness);
+* **class-routed hybrid** — one carrier per component, each fed the
+  sub-stream statically routed to it (exactly what it sees under the
+  reference engine);
+* **static** — nothing (per-PC lookups);
+* **YAGS / bi-mode / filter / DHLF** — the flat state of a compiled
+  per-record kernel (:mod:`repro.engine.backend`);
+* **anything else** — the stateful predictor object itself.
+
+Every carrier is **bit-identical** to
+:func:`repro.engine.reference.simulate_reference` for every chunk split
+(pinned by ``tests/test_engine_streaming.py`` over every registered
+predictor family and chunk lengths down to 1).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..predictors.agree import AgreePredictor
-from ..predictors.bimodal import BimodalPredictor
 from ..predictors.hybrid import ClassRoutedHybrid
 from ..predictors.static import (
     AlwaysNotTakenPredictor,
@@ -47,219 +50,79 @@ from ..predictors.static import (
     ProfileStaticPredictor,
 )
 from ..predictors.tournament import TournamentPredictor
-from ..predictors.twolevel import TwoLevelPredictor
 from ..trace.stream import Trace
-from .batched import DEFAULT_MAX_CHUNK_ELEMENTS, _spec_of
-from .results import SimulationResult
-from .scan import (
-    counter_step_table,
-    segmented_automaton_scan,
-    segmented_saturating_scan,
-    stable_key_order,
-)
-from .vectorized import (
-    _global_window,
+from .batched import (
+    BatchedStream,
+    _Carried,
+    _counter_scan,
+    _GlobalHistory,
     _pht_indices,
+    _segment_ends,
+    _segment_starts,
     _slot_groups,
-    _windows_in_groups,
+    supports_batched,
 )
+from .results import SimulationResult, _attribute_chunks
+from .scan import counter_step_table, segmented_automaton_scan, stable_key_order
 
 __all__ = [
+    "predictions_vectorized",
     "simulate_stream",
-    "simulate_sweep_stream",
+    "simulate_vectorized",
     "stream_simulator",
-    "supports_stream_vectorized",
+    "supports_vectorized",
 ]
 
-
-def _as_columns(chunk) -> tuple[np.ndarray, np.ndarray, str]:
-    """(pcs, outcomes, name) of a chunk (a Trace or a (pcs, outcomes) pair)."""
-    if isinstance(chunk, Trace):
-        return chunk.pcs, chunk.outcomes, chunk.name
-    pcs, outcomes = chunk
-    return np.asarray(pcs, dtype=np.int64), np.asarray(outcomes, dtype=np.uint8), ""
+_STATIC_TYPES = (AlwaysTakenPredictor, AlwaysNotTakenPredictor, ProfileStaticPredictor)
 
 
-# -- carried state building blocks -------------------------------------------
+def supports_vectorized(predictor) -> bool:
+    """True if ``predictor`` has an array carrier (no per-record loop):
+    the two-level family, static predictors, agree, and tournaments and
+    class-routed hybrids whose components are themselves supported."""
+    if supports_batched(predictor) or isinstance(predictor, (AgreePredictor, *_STATIC_TYPES)):
+        return True
+    if isinstance(predictor, TournamentPredictor):
+        return supports_vectorized(predictor.first) and supports_vectorized(predictor.second)
+    if isinstance(predictor, ClassRoutedHybrid):
+        return all(supports_vectorized(c) for c in predictor.components)
+    return False
 
 
-def _last_in_group(new_group: np.ndarray) -> np.ndarray:
-    """Mask of each group's final element, from its new-group mask."""
-    last = np.empty(len(new_group), dtype=bool)
-    last[-1] = True
-    last[:-1] = new_group[1:]
-    return last
+# -- per-family carriers --------------------------------------------------------
 
 
-class _GlobalHistoryState:
-    """A k-bit global history register carried across chunks."""
+class _OneConfig:
+    """A single two-level predictor: a one-configuration batch."""
 
-    __slots__ = ("bits", "mask", "value")
+    __slots__ = ("batch",)
 
-    def __init__(self, bits: int) -> None:
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-        self.value = 0
-
-    def windows(self, outcomes: np.ndarray) -> np.ndarray:
-        """History before each step (carried bits included), advancing
-        the register past the chunk."""
-        n = len(outcomes)
-        hist = _global_window(outcomes, self.bits)
-        k = min(self.bits, n)
-        if k and self.value:
-            # Step i has i in-chunk predecessors; its bits i.. come from
-            # the carried register's low bits, shifted into place.
-            shifts = np.arange(k)
-            hist[:k] |= (self.value & (self.mask >> shifts)) << shifts
-        if n:
-            self.value = ((int(hist[n - 1]) << 1) | int(outcomes[n - 1])) & self.mask
-        return hist
-
-
-class _SlotHistoryState:
-    """Per-address (BHT) history rows carried across chunks."""
-
-    __slots__ = ("entries", "bits", "mask", "table")
-
-    def __init__(self, entries: int, bits: int) -> None:
-        self.entries = entries
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-        self.table = np.zeros(entries, dtype=np.int64)
-
-    def windows(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        """Per-step history windows (carried rows included), advancing
-        every touched BHT row past the chunk."""
-        n = len(pcs)
-        slots = pcs & (self.entries - 1)
-        order, new_group, group_start_pos = _slot_groups(
-            slots, self.entries.bit_length() - 1
-        )
-        sorted_out = outcomes[order]
-        in_chunk = _windows_in_groups(sorted_out, group_start_pos, self.bits)
-        depth = np.arange(n) - group_start_pos
-        sorted_slots = slots[order]
-        carried = self.table[sorted_slots]
-        shift = np.minimum(depth, self.bits)
-        combined = in_chunk | ((carried & (self.mask >> shift)) << shift)
-        last = _last_in_group(new_group)
-        self.table[sorted_slots[last]] = (
-            (combined[last] << 1) | sorted_out[last]
-        ) & self.mask
-        hist = np.empty(n, dtype=np.int64)
-        hist[order] = combined
-        return hist
-
-
-class _CounterTableState:
-    """A table of saturating counters carried across chunks.
-
-    :meth:`states_before` is the streaming analogue of the in-memory
-    grouped scan: each segment resumes from its entry's carried value,
-    and the table advances past the chunk's final step of each entry.
-    """
-
-    __slots__ = ("index_bits", "max_state", "table")
-
-    def __init__(self, index_bits: int, counter_bits: int, initial: int) -> None:
-        self.index_bits = index_bits
-        self.max_state = (1 << counter_bits) - 1
-        self.table = np.full(1 << index_bits, initial, dtype=np.uint8)
-
-    def states_before(self, indices: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Counter value before each step, in original order; updates
-        the carried table."""
-        n = len(indices)
-        order = stable_key_order(indices, self.index_bits)
-        sorted_indices = indices[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        starts[1:] = sorted_indices[1:] != sorted_indices[:-1]
-        sorted_inputs = inputs[order]
-        init = self.table[sorted_indices]
-        state_sorted = segmented_saturating_scan(
-            sorted_inputs, starts, init, self.max_state
-        )
-        last = _last_in_group(starts)
-        final = state_sorted[last].astype(np.int64) + np.where(
-            sorted_inputs[last].astype(bool), 1, -1
-        )
-        self.table[sorted_indices[last]] = np.clip(final, 0, self.max_state).astype(
-            np.uint8
-        )
-        states = np.empty(n, dtype=np.uint8)
-        states[order] = state_sorted
-        return states
-
-
-# -- per-family stream simulators ---------------------------------------------
-
-
-class _TwoLevelStream:
-    """Streaming two-level/bimodal simulation with carried L1 + PHT state."""
-
-    def __init__(
-        self,
-        *,
-        history_kind: str,
-        history_bits: int,
-        pht_index_bits: int,
-        index_scheme: str,
-        bht_entries: int | None,
-        counter_bits: int,
-    ) -> None:
-        self.history_bits = history_bits
-        self.pht_index_bits = pht_index_bits
-        self.index_scheme = index_scheme
-        self.threshold = 1 << (counter_bits - 1)
-        self.pht = _CounterTableState(pht_index_bits, counter_bits, self.threshold)
-        self.history: _GlobalHistoryState | _SlotHistoryState | None = None
-        if history_bits:
-            if history_kind == "global":
-                self.history = _GlobalHistoryState(history_bits)
-            elif history_kind == "per-address":
-                if bht_entries is None:
-                    raise ConfigurationError("per-address history requires bht_entries")
-                self.history = _SlotHistoryState(bht_entries, history_bits)
-            else:  # pragma: no cover - constructor-guarded
-                raise ConfigurationError(f"unknown history kind {history_kind!r}")
-
-    def _histories(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        if self.history is None:
-            return np.zeros(len(pcs), dtype=np.int64)
-        if isinstance(self.history, _GlobalHistoryState):
-            return self.history.windows(outcomes)
-        return self.history.windows(pcs, outcomes)
+    def __init__(self, predictor) -> None:
+        self.batch = BatchedStream([predictor])
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        n = len(pcs)
-        if n == 0:
-            return np.zeros(0, dtype=np.uint8)
-        out_i64 = outcomes.astype(np.int64)
-        histories = self._histories(pcs, out_i64)
-        indices = _pht_indices(
-            pcs,
-            histories,
-            index_scheme=self.index_scheme,
-            history_bits=self.history_bits,
-            pht_index_bits=self.pht_index_bits,
-        )
-        state_before = self.pht.states_before(indices, outcomes)
-        return (state_before >= self.threshold).astype(np.uint8)
+        return self.batch.feed(pcs, outcomes)[0]
 
 
 class _AgreeStream:
-    """Streaming agree predictor: carried bias latch + GHR + agree PHT."""
+    """Agree predictor: carried bias latch + global history + agree PHT.
+
+    A slot's biasing bit latches from the outcome of the first step
+    mapping to it (before that the default is taken), and the PHT learns
+    agreement, not direction: its input is "did the branch agree with
+    its just-latched bias".
+    """
 
     def __init__(self, predictor: AgreePredictor) -> None:
         self.bias_entries = predictor.bias_entries
         self.bias = np.zeros(self.bias_entries, dtype=np.int64)
         self.latched = np.zeros(self.bias_entries, dtype=bool)
-        self.history = _GlobalHistoryState(predictor.history.bits)
-        self.pht = _CounterTableState(
-            predictor.pht.index_bits, predictor.pht.bits, predictor.pht.initial
-        )
+        self.history = _GlobalHistory(predictor.history.bits)
+        index_bits, initial = predictor.pht.index_bits, predictor.pht.initial
+        self.pht_index_bits = index_bits
+        self.pht = _Carried(lambda: np.full(1 << index_bits, initial, dtype=np.uint8))
+        self.pht_initial = initial
+        self.max_state = (1 << predictor.pht.bits) - 1
         self.threshold = 1 << (predictor.pht.bits - 1)
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
@@ -267,47 +130,55 @@ class _AgreeStream:
         if n == 0:
             return np.zeros(0, dtype=np.uint8)
         out_i64 = outcomes.astype(np.int64)
+        fed = self.pht.fed
 
         slots = pcs & (self.bias_entries - 1)
         order, new_group, group_start_pos = _slot_groups(
             slots, self.bias_entries.bit_length() - 1
         )
         sorted_slots = slots[order]
-        latched = self.latched[sorted_slots]
-        first_original = order[group_start_pos]
-        first_out = out_i64[first_original]
-        # A latched slot keeps its carried bias for the whole chunk; an
-        # unlatched slot latches from its first in-chunk outcome, with
-        # the pre-latch default-taken prediction on that first step.
-        bias_after_sorted = np.where(latched, self.bias[sorted_slots], first_out)
-        bias_predict_sorted = np.where(
-            latched, bias_after_sorted, np.where(new_group, 1, bias_after_sorted)
-        )
-        last = _last_in_group(new_group)
-        self.bias[sorted_slots[last]] = bias_after_sorted[last]
-        self.latched[sorted_slots[last]] = True
-
+        first_out = out_i64[order[group_start_pos]]
+        if fed:
+            # A latched slot keeps its carried bias for the whole chunk;
+            # an unlatched one latches from its first in-chunk outcome.
+            latched = self.latched[sorted_slots]
+            bias_after_sorted = np.where(latched, self.bias[sorted_slots], first_out)
+            bias_predict_sorted = np.where(latched | ~new_group, bias_after_sorted, 1)
+        else:
+            bias_after_sorted = first_out
+            bias_predict_sorted = np.where(new_group, 1, first_out)
+        ends = _segment_ends(new_group)
+        self.bias[sorted_slots[ends]] = bias_after_sorted[ends]
+        self.latched[sorted_slots[ends]] = True
         bias_after = np.empty(n, dtype=np.int64)
         bias_after[order] = bias_after_sorted
         bias_predict = np.empty(n, dtype=np.int64)
         bias_predict[order] = bias_predict_sorted
 
-        agree_inputs = (out_i64 == bias_after).astype(np.uint8)
-        histories = self.history.windows(out_i64)
         indices = _pht_indices(
             pcs,
-            histories,
+            self.history.windows(out_i64),
             index_scheme="xor",
             history_bits=self.history.bits,
-            pht_index_bits=self.pht.index_bits,
+            pht_index_bits=self.pht_index_bits,
         )
-        state_before = self.pht.states_before(indices, agree_inputs)
-        agree = state_before >= self.threshold
+        pht_order, state_sorted = _counter_scan(
+            self.pht,
+            indices,
+            self.pht_index_bits,
+            (out_i64 == bias_after).astype(np.uint8),
+            base=0,
+            reset=self.pht_initial,
+            max_state=self.max_state,
+            fed=fed,
+        )
+        agree = np.empty(n, dtype=bool)
+        agree[pht_order] = state_sorted >= self.threshold
         return np.where(agree, bias_predict, 1 - bias_predict).astype(np.uint8)
 
 
 class _TournamentStream:
-    """Streaming tournament: carried component streams + chooser table."""
+    """Tournament: carried component carriers + chooser table."""
 
     def __init__(self, predictor: TournamentPredictor) -> None:
         self.first = stream_simulator(predictor.first)
@@ -315,6 +186,7 @@ class _TournamentStream:
         chooser = predictor.chooser
         self.entries = chooser.entries
         self.index_bits = chooser.index_bits
+        self.initial = chooser.initial
         self.threshold = 1 << (chooser.bits - 1)
         self.table = np.full(chooser.entries, chooser.initial, dtype=np.uint8)
         self.step_table = np.vstack(
@@ -323,34 +195,32 @@ class _TournamentStream:
                 np.arange(1 << chooser.bits, dtype=np.uint8)[None],
             ]
         )
+        self.fed = False
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         n = len(pcs)
         if n == 0:
             return np.zeros(0, dtype=np.uint8)
+        # Both components see (and train on) every branch.
         first = self.first.feed(pcs, outcomes)
         second = self.second.feed(pcs, outcomes)
         first_correct = first == outcomes
         second_correct = second == outcomes
         hold = np.uint8(2)
-        symbols = np.where(
-            first_correct == second_correct, hold, second_correct.astype(np.uint8)
-        )
+        symbols = np.where(first_correct == second_correct, hold, second_correct.astype(np.uint8))
 
         slots = pcs & (self.entries - 1)
         order = stable_key_order(slots, self.index_bits)
         sorted_slots = slots[order]
-        starts = np.empty(n, dtype=bool)
-        starts[0] = True
-        starts[1:] = sorted_slots[1:] != sorted_slots[:-1]
+        starts = _segment_starts(sorted_slots)
         sorted_symbols = symbols[order]
-        init = self.table[sorted_slots]
-        state_sorted = segmented_automaton_scan(
-            self.step_table, sorted_symbols, starts, init
-        )
-        last = _last_in_group(starts)
-        self.table[sorted_slots[last]] = self.step_table[
-            sorted_symbols[last].astype(np.int64), state_sorted[last]
+        # A table never fed holds its reset value everywhere.
+        initial = self.table[sorted_slots] if self.fed else self.initial
+        self.fed = True
+        state_sorted = segmented_automaton_scan(self.step_table, sorted_symbols, starts, initial)
+        ends = _segment_ends(starts)
+        self.table[sorted_slots[ends]] = self.step_table[
+            sorted_symbols[ends].astype(np.int64), state_sorted[ends]
         ]
         chooser_state = np.empty(n, dtype=np.uint8)
         chooser_state[order] = state_sorted
@@ -358,7 +228,7 @@ class _TournamentStream:
 
 
 class _HybridStream:
-    """Streaming class-routed hybrid: carried per-component sub-streams."""
+    """Class-routed hybrid: carried per-component sub-streams."""
 
     def __init__(self, predictor: ClassRoutedHybrid) -> None:
         self.predictor = predictor
@@ -401,6 +271,7 @@ class _StaticStream:
             return np.ones(n, dtype=np.uint8)
         if isinstance(self.predictor, AlwaysNotTakenPredictor):
             return np.zeros(n, dtype=np.uint8)
+        # Profile-static: one Python-level lookup per *static* branch only.
         unique_pcs, codes = np.unique(pcs, return_inverse=True)
         cache = self._directions
         directions = np.empty(len(unique_pcs), dtype=np.uint8)
@@ -414,7 +285,7 @@ class _StaticStream:
 
 
 class _ReferenceStream:
-    """Any predictor, one record at a time — the streaming ground truth.
+    """Any predictor, one record at a time.
 
     The predictor object *is* the carried state, exactly as in
     :func:`repro.engine.reference.simulate_reference` without the
@@ -442,138 +313,49 @@ class _ReferenceStream:
         return predictions
 
 
-_STATIC_TYPES = (AlwaysTakenPredictor, AlwaysNotTakenPredictor, ProfileStaticPredictor)
-
-
-def supports_stream_vectorized(predictor) -> bool:
-    """True if ``predictor`` streams through the vectorized kernels
-    (mirrors :func:`repro.engine.supports_vectorized`)."""
-    if isinstance(
-        predictor, (TwoLevelPredictor, BimodalPredictor, AgreePredictor) + _STATIC_TYPES
-    ):
-        return True
-    if isinstance(predictor, TournamentPredictor):
-        return supports_stream_vectorized(predictor.first) and supports_stream_vectorized(
-            predictor.second
-        )
-    if isinstance(predictor, ClassRoutedHybrid):
-        return all(supports_stream_vectorized(c) for c in predictor.components)
-    return False
-
-
 def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = None):
-    """A chunk-at-a-time simulator for ``predictor``.
+    """The carrier for ``predictor``.
 
-    The returned object's ``feed(pcs, outcomes)`` yields the per-step
-    predictions for one chunk, carrying all predictor state to the
-    next call.  ``engine`` mirrors :func:`repro.engine.simulate`:
-    ``"auto"`` picks the vectorized kernels when supported, a compiled
-    per-record kernel (:mod:`repro.engine.backend`) when the family has
-    one, and the stateful reference predictor otherwise.  ``backend``
-    selects the compiled-kernel implementation (default:
+    Its ``feed(pcs, outcomes)`` yields the per-step predictions for one
+    chunk, carrying all predictor state to the next call.  ``engine``
+    mirrors :func:`repro.engine.simulate`: ``"auto"`` picks the array
+    carrier when :func:`supports_vectorized`, a compiled per-record
+    kernel (:mod:`repro.engine.backend`) when the family has one, and
+    the stateful reference predictor otherwise; ``"vectorized"`` and
+    ``"batched"`` insist on the array and the two-level carriers.
+    ``backend`` selects the compiled-kernel implementation (default:
     ``REPRO_ENGINE_BACKEND``, else auto-detect).
     """
     if engine == "reference":
         return _ReferenceStream(predictor)
-    if engine not in ("auto", "vectorized", "batched"):
-        raise ConfigurationError(f"unknown engine {engine!r}")
-    if not supports_stream_vectorized(predictor):
-        if engine in ("vectorized", "batched"):
+    if engine == "batched":
+        return _OneConfig(predictor)
+    if engine not in ("auto", "vectorized"):
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected 'auto', 'vectorized', 'batched' or 'reference'"
+        )
+    if not supports_vectorized(predictor):
+        if engine == "vectorized":
             raise ConfigurationError(
-                f"streaming {engine} engine cannot simulate "
-                f"{type(predictor).__name__}; use engine='reference' or 'auto'"
+                f"vectorized engine cannot simulate {type(predictor).__name__}; "
+                "use engine='reference' or 'auto'"
             )
         from .backend import compiled_stream  # lazy: backend imports predictors
 
         compiled = compiled_stream(predictor, backend)
-        if compiled is not None:
-            return compiled
-        return _ReferenceStream(predictor)
-    if isinstance(predictor, BimodalPredictor):
-        return _TwoLevelStream(
-            history_kind="global",
-            history_bits=0,
-            pht_index_bits=predictor.table.index_bits,
-            index_scheme="concat",
-            bht_entries=None,
-            counter_bits=predictor.table.bits,
-        )
-    if isinstance(predictor, TwoLevelPredictor):
-        spec = _spec_of(predictor)
-        return _TwoLevelStream(
-            history_kind=spec.history_kind,
-            history_bits=spec.history_bits,
-            pht_index_bits=spec.pht_index_bits,
-            index_scheme=spec.index_scheme,
-            bht_entries=spec.bht_entries,
-            counter_bits=spec.counter_bits,
-        )
+        return compiled if compiled is not None else _ReferenceStream(predictor)
+    if supports_batched(predictor):
+        return _OneConfig(predictor)
     if isinstance(predictor, AgreePredictor):
         return _AgreeStream(predictor)
     if isinstance(predictor, TournamentPredictor):
         return _TournamentStream(predictor)
     if isinstance(predictor, ClassRoutedHybrid):
         return _HybridStream(predictor)
-    assert isinstance(predictor, _STATIC_TYPES)
     return _StaticStream(predictor)
 
 
-# -- per-PC accumulation ------------------------------------------------------
-
-
-class _StreamAccumulator:
-    """Per-PC execution and (multi-config) miss counts across chunks.
-
-    Rows are assigned to PCs first-seen; :meth:`columns` re-sorts by PC
-    so results align with the in-memory engines' ``np.unique`` axis.
-    """
-
-    def __init__(self, num_configs: int) -> None:
-        self._rows: dict[int, int] = {}
-        self._capacity = 1024
-        self._executions = np.zeros(self._capacity, dtype=np.int64)
-        self._misses = np.zeros((num_configs, self._capacity), dtype=np.int64)
-
-    def _grow(self, needed: int) -> None:
-        while self._capacity < needed:
-            self._capacity *= 2
-        executions = np.zeros(self._capacity, dtype=np.int64)
-        executions[: len(self._executions)] = self._executions
-        misses = np.zeros((self._misses.shape[0], self._capacity), dtype=np.int64)
-        misses[:, : self._misses.shape[1]] = self._misses
-        self._executions = executions
-        self._misses = misses
-
-    def add(self, pcs: np.ndarray, missed_per_config: list[np.ndarray]) -> None:
-        unique_pcs, codes = np.unique(pcs, return_inverse=True)
-        rows_map = self._rows
-        rows = np.empty(len(unique_pcs), dtype=np.int64)
-        for i, pc in enumerate(unique_pcs.tolist()):
-            row = rows_map.get(pc)
-            if row is None:
-                row = len(rows_map)
-                rows_map[pc] = row
-            rows[i] = row
-        if len(rows_map) > self._capacity:
-            self._grow(len(rows_map))
-        self._executions[rows] += np.bincount(codes, minlength=len(unique_pcs))
-        for config, missed in enumerate(missed_per_config):
-            self._misses[config][rows] += np.bincount(
-                codes[missed], minlength=len(unique_pcs)
-            )
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """(sorted unique pcs, executions, per-config miss counts)."""
-        count = len(self._rows)
-        pcs = np.fromiter(self._rows.keys(), dtype=np.int64, count=count)
-        order = np.argsort(pcs, kind="stable")
-        pcs = pcs[order]
-        executions = self._executions[:count][order]
-        misses = [row[:count][order] for row in self._misses]
-        return pcs, executions, misses
-
-
-# -- public entry points ------------------------------------------------------
+# -- entry points ---------------------------------------------------------------
 
 
 def simulate_stream(
@@ -598,279 +380,27 @@ def simulate_stream(
     from ..spec import build_predictor  # lazy: spec imports engine
 
     predictor = build_predictor(predictor)
-    simulator = stream_simulator(predictor, engine=engine, backend=backend)
-    accumulator = _StreamAccumulator(1)
-    name = trace_name
-    for chunk in chunks:
-        pcs, outcomes, chunk_name = _as_columns(chunk)
-        if name is None and chunk_name:
-            name = chunk_name
-        if len(pcs) == 0:
-            continue
-        predictions = simulator.feed(pcs, outcomes)
-        accumulator.add(pcs, [predictions != outcomes])
-    pcs, executions, misses = accumulator.columns()
-    return SimulationResult(
-        pcs,
-        executions,
-        misses[0],
-        predictor_name=predictor.name,
-        trace_name=name or "",
-    )
+    carrier = stream_simulator(predictor, engine=engine, backend=backend)
+    return _attribute_chunks(
+        lambda pcs, outcomes: [carrier.feed(pcs, outcomes)], [predictor], chunks, trace_name
+    )[0]
 
 
-class BatchedStream:
-    """Chunked driver of the batched multi-configuration engine.
+def predictions_vectorized(predictor, trace: Trace) -> np.ndarray:
+    """Per-step predictions (uint8, 1 = predicted taken) for the trace,
+    fed to the predictor's array carrier as one chunk.
 
-    Shares one global-history window, one per-BHT-geometry window and
-    stacked per-segment-initial counter scans across every two-level
-    configuration in the batch, exactly like
-    :func:`repro.engine.batched.predictions_batched` — but fed chunk by
-    chunk, with all carried state (history registers at the *longest*
-    requested length per geometry, one PHT per unique configuration)
-    advancing across chunk boundaries.
+    The predictor object itself is *not* mutated; its geometry is read
+    and the cold-start simulation is carried out on arrays.
     """
-
-    def __init__(
-        self,
-        predictors,
-        *,
-        max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
-    ) -> None:
-        if max_chunk_elements < 1:
-            raise ConfigurationError("max_chunk_elements must be positive")
-        self.max_chunk_elements = max_chunk_elements
-        specs = [_spec_of(p) for p in predictors]
-
-        # Shared carried history state: global at the longest global
-        # length; one BHT per geometry at that geometry's longest length
-        # (shorter configs mask the same windows down).
-        global_bits = max(
-            (s.history_bits for s in specs if s.history_kind == "global"), default=0
-        )
-        self._global = _GlobalHistoryState(global_bits) if global_bits else None
-        bht_bits: dict[int, int] = {}
-        for s in specs:
-            if s.history_kind == "per-address" and s.history_bits > 0:
-                bht_bits[s.bht_entries] = max(
-                    bht_bits.get(s.bht_entries, 0), s.history_bits
-                )
-        self._bht = {
-            entries: _SlotHistoryState(entries, bits)
-            for entries, bits in bht_bits.items()
-        }
-
-        # Unique configurations (identical geometries share one PHT).
-        self._slot_of_spec: list[int] = []
-        self._unique: list = []
-        self._tables: list[np.ndarray] = []
-        slot_by_key: dict[tuple, int] = {}
-        for s in specs:
-            key = s.dedupe_key()
-            slot = slot_by_key.get(key)
-            if slot is None:
-                slot = len(self._unique)
-                slot_by_key[key] = slot
-                self._unique.append(s)
-                initial = 1 << (s.counter_bits - 1)
-                self._tables.append(
-                    np.full(1 << s.pht_index_bits, initial, dtype=np.uint8)
-                )
-            self._slot_of_spec.append(slot)
-
-    def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> list[np.ndarray]:
-        """Per-step predictions of every predictor for one chunk."""
-        n = len(pcs)
-        if n == 0:
-            return [np.zeros(0, dtype=np.uint8) for _ in self._slot_of_spec]
-        out_i64 = outcomes.astype(np.int64)
-        global_hist = self._global.windows(out_i64) if self._global else None
-        bht_hist = {
-            entries: state.windows(pcs, out_i64)
-            for entries, state in self._bht.items()
-        }
-
-        unique_indices: list[np.ndarray] = []
-        for s in self._unique:
-            if s.history_bits == 0:
-                hist = np.zeros(n, dtype=np.int64)
-            elif s.history_kind == "global":
-                hist = global_hist & ((1 << s.history_bits) - 1)
-            else:
-                hist = bht_hist[s.bht_entries] & ((1 << s.history_bits) - 1)
-            unique_indices.append(
-                _pht_indices(
-                    pcs,
-                    hist,
-                    index_scheme=s.index_scheme,
-                    history_bits=s.history_bits,
-                    pht_index_bits=s.pht_index_bits,
-                )
-            )
-
-        unique_predictions: list[np.ndarray | None] = [None] * len(self._unique)
-        by_counter_bits: dict[int, list[int]] = {}
-        for slot, s in enumerate(self._unique):
-            by_counter_bits.setdefault(s.counter_bits, []).append(slot)
-        per_chunk = max(1, self.max_chunk_elements // n)
-        for counter_bits, slots in by_counter_bits.items():
-            threshold = 1 << (counter_bits - 1)
-            max_state = (1 << counter_bits) - 1
-            for start in range(0, len(slots), per_chunk):
-                group = slots[start : start + per_chunk]
-                stacked = self._stacked_scan(
-                    group, unique_indices, outcomes, threshold, max_state, n
-                )
-                for slot, predictions in zip(group, stacked):
-                    unique_predictions[slot] = predictions
-        return [unique_predictions[slot] for slot in self._slot_of_spec]
-
-    def _stacked_scan(
-        self,
-        group: list[int],
-        unique_indices: list[np.ndarray],
-        outcomes: np.ndarray,
-        threshold: int,
-        max_state: int,
-        n: int,
-    ) -> list[np.ndarray]:
-        """One stacked per-segment-initial scan over several configs,
-        advancing each config's carried PHT."""
-        count = len(group)
-        stride = 1 << max(self._unique[slot].pht_index_bits for slot in group)
-        keys = np.empty(count * n, dtype=np.int64)
-        init = np.empty(count * n, dtype=np.uint8)
-        for i, slot in enumerate(group):
-            indices = unique_indices[slot]
-            keys[i * n : (i + 1) * n] = indices + i * stride
-            init[i * n : (i + 1) * n] = self._tables[slot][indices]
-        inputs = np.tile(outcomes, count)
-
-        order = stable_key_order(keys, (count * stride - 1).bit_length())
-        sorted_keys = keys[order]
-        starts = np.empty(count * n, dtype=bool)
-        starts[0] = True
-        starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        sorted_inputs = inputs[order]
-
-        state_before = segmented_saturating_scan(
-            sorted_inputs, starts, init[order], max_state
-        )
-
-        # Advance every touched counter past its final step in the chunk.
-        last = _last_in_group(starts)
-        final = state_before[last].astype(np.int64) + np.where(
-            sorted_inputs[last].astype(bool), 1, -1
-        )
-        final = np.clip(final, 0, max_state).astype(np.uint8)
-        last_keys = sorted_keys[last]
-        for i, slot in enumerate(group):
-            mask = (last_keys >= i * stride) & (last_keys < (i + 1) * stride)
-            self._tables[slot][last_keys[mask] - i * stride] = final[mask]
-
-        predictions = np.empty(count * n, dtype=np.uint8)
-        predictions[order] = (state_before >= threshold).astype(np.uint8)
-        return [predictions[i * n : (i + 1) * n] for i in range(count)]
+    return stream_simulator(predictor, engine="vectorized").feed(trace.pcs, trace.outcomes)
 
 
-def simulate_batched_stream(
-    predictors,
-    chunks: Iterable,
-    *,
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
-    trace_name: str | None = None,
-    workers: int | str | None = None,
-) -> list[SimulationResult]:
-    """Streaming counterpart of :func:`repro.engine.simulate_batched`.
+def simulate_vectorized(predictor, trace: Trace) -> SimulationResult:
+    """Cold-start simulation with per-PC miss attribution, through the
+    predictor's array carrier with the trace as one chunk.
 
-    Bit-identical results with peak memory O(chunk × configs-per-pass)
-    instead of O(trace).  ``workers`` (default: ``REPRO_SWEEP_WORKERS``,
-    else 1) enables the speculative intra-trace pipeline of
-    :mod:`repro.engine.parallel`; results are bit-identical for every
-    worker count.
+    Exactly equivalent to ``simulate_reference(predictor, trace)`` for
+    every supported predictor type.
     """
-    from .parallel import (
-        resolve_workers,
-        simulate_batched_stream_parallel,
-        supports_parallel_sweep,
-    )
-
-    predictors = list(predictors)
-    worker_count = resolve_workers(workers)
-    if worker_count > 1 and supports_parallel_sweep(predictors):
-        return simulate_batched_stream_parallel(
-            predictors,
-            chunks,
-            workers=worker_count,
-            max_chunk_elements=max_chunk_elements,
-            trace_name=trace_name,
-        )
-    driver = BatchedStream(predictors, max_chunk_elements=max_chunk_elements)
-    accumulator = _StreamAccumulator(len(predictors))
-    name = trace_name
-    for chunk in chunks:
-        pcs, outcomes, chunk_name = _as_columns(chunk)
-        if name is None and chunk_name:
-            name = chunk_name
-        if len(pcs) == 0:
-            continue
-        all_predictions = driver.feed(pcs, outcomes)
-        accumulator.add(
-            pcs, [predictions != outcomes for predictions in all_predictions]
-        )
-    pcs, executions, misses = accumulator.columns()
-    return [
-        SimulationResult(
-            pcs,
-            executions,
-            miss_counts,
-            predictor_name=predictor.name,
-            trace_name=name or "",
-        )
-        for predictor, miss_counts in zip(predictors, misses)
-    ]
-
-
-def simulate_sweep_stream(
-    chunks: Iterable,
-    *,
-    kinds=("pas", "gas"),
-    history_lengths=None,
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
-    trace_name: str | None = None,
-    workers: int | str | None = None,
-):
-    """Streaming counterpart of :func:`repro.engine.batched.simulate_sweep`.
-
-    The paper's full PAs/GAs sweep over a trace too big to hold in
-    memory: one pass over the chunk iterator, every configuration's
-    history windows and counter scans shared, results bit-identical to
-    the in-memory sweep.  ``workers`` > 1 runs chunks speculatively on
-    a thread pool (see :mod:`repro.engine.parallel`), still bit-exact.
-    """
-    from ..predictors.paper_configs import HISTORY_LENGTHS, paper_predictor
-    from .batched import BatchedSweepResult
-
-    if history_lengths is None:
-        history_lengths = tuple(HISTORY_LENGTHS)
-    keys = [(kind, int(k)) for kind in kinds for k in history_lengths]
-    predictors = [paper_predictor(kind, k) for kind, k in keys]
-    results = simulate_batched_stream(
-        predictors,
-        chunks,
-        max_chunk_elements=max_chunk_elements,
-        trace_name=trace_name,
-        workers=workers,
-    )
-
-    miss_counts: dict[tuple[str, int], np.ndarray] = {}
-    names: dict[tuple[str, int], str] = {}
-    pcs = np.zeros(0, dtype=np.int64)
-    executions = np.zeros(0, dtype=np.int64)
-    resolved_name = trace_name or ""
-    for key, result in zip(keys, results):
-        pcs, executions = result.pcs, result.executions
-        resolved_name = result.trace_name
-        miss_counts[key] = result.mispredictions
-        names[key] = result.predictor_name
-    return BatchedSweepResult(resolved_name, pcs, executions, miss_counts, names)
+    return simulate_stream(predictor, [trace], engine="vectorized", trace_name=trace.name)

@@ -187,16 +187,13 @@ class ExperimentContext:
         """One experiment's rendered result (the ``render:*`` artifact)."""
         return self.pipeline.value(f"render:{experiment_id}")
 
-    def session(
-        self, *, backend: str | None = None, workers: int | str | None = None
-    ) -> Session:
+    def session(self, *, backend: str | None = None) -> Session:
         """A :class:`~repro.session.Session` on this context's engine.
 
         Experiment code that simulates ad-hoc spec jobs (beyond the
         pipeline's sweep artifacts) should route them through one of
         these so jobs on the same trace share batched passes.
-        ``backend``/``workers`` forward to the session (compiled-kernel
-        backend and intra-trace sweep parallelism; see
-        docs/PERFORMANCE.md).
+        ``backend`` forwards to the session (the compiled-kernel
+        backend; see docs/PERFORMANCE.md).
         """
-        return Session(engine=self.engine, backend=backend, workers=workers)
+        return Session(engine=self.engine, backend=backend)

@@ -44,8 +44,9 @@ predictors they share, so the planner is free to pick the fastest.
 Workload specs that report a stream source (binary trace files at or
 above :func:`repro.workload_spec.stream_threshold` bytes) are simulated
 *out-of-core*: their slot holds a :class:`StreamedTrace` instead of
-materialized columns, and execution routes through the chunked
-streaming engines (:mod:`repro.engine.streaming`) with peak memory
+materialized columns, and execution feeds the engine's carriers chunk
+by chunk (:func:`~repro.engine.simulate_stream`,
+:func:`~repro.engine.simulate_batched_stream`) with peak memory
 O(chunk) — still bit-identical.  See ``docs/TRACES.md``.
 """
 
@@ -54,11 +55,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .engine import simulate, simulate_batched
+from .engine import simulate, simulate_batched, simulate_batched_stream, simulate_stream
 from .engine.backend import BACKENDS
-from .engine.batched import DEFAULT_MAX_CHUNK_ELEMENTS
+from .engine.batched import DEFAULT_MAX_CHUNK_ELEMENTS, check_batched
 from .engine.results import SimulationResult
-from .engine.streaming import simulate_batched_stream, simulate_stream
 from .errors import ConfigurationError
 from .spec import (
     AgreeSpec,
@@ -278,15 +278,10 @@ class Session:
         Memory bound forwarded to the batched engine.
     backend:
         Compiled-kernel backend for reference-path families
-        (``auto``/``python``/``numba``/``cext``; see
+        (``auto``/``python``/``cext``; see
         :mod:`repro.engine.backend`).  ``None`` defers to
         ``REPRO_ENGINE_BACKEND``.  Backends are bit-identical, so the
         session memo is unaffected by this choice.
-    workers:
-        Worker count for intra-trace parallel sweeps over streamed
-        workloads (``"auto"`` = cpu count; see
-        :mod:`repro.engine.parallel`).  ``None`` defers to
-        ``REPRO_SWEEP_WORKERS`` (default serial).
 
     Lifecycle: :meth:`submit` any number of jobs, optionally inspect
     :meth:`plan`, then :meth:`run` — which returns a
@@ -300,7 +295,6 @@ class Session:
         engine: str = "auto",
         max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
         backend: str | None = None,
-        workers: int | str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ConfigurationError(f"engine {engine!r} not in {ENGINES}")
@@ -311,7 +305,6 @@ class Session:
         self.engine = engine
         self.max_chunk_elements = max_chunk_elements
         self.backend = backend
-        self.workers = workers
         self._pending: list[SimulationJob] = []
         self._submitted = 0
         # Workloads are grouped by *content*: workload specs key on
@@ -407,11 +400,8 @@ class Session:
             if batchable_spec(job.spec):
                 return "batched"
             return "vectorized" if vectorizable_spec(job.spec) else "reference"
-        if job.engine == "batched" and not batchable_spec(job.spec):
-            raise ConfigurationError(
-                f"spec kind {job.spec.kind!r} cannot use the batched engine "
-                "(two-level family only)"
-            )
+        if job.engine == "batched":
+            check_batched(job.spec.build())
         return job.engine
 
     def _work_key(self, job: SimulationJob, engine: str) -> tuple[int, PredictorSpec, str]:
@@ -479,7 +469,6 @@ class Session:
                         streamed.chunks(),
                         max_chunk_elements=self.max_chunk_elements,
                         trace_name=streamed.name,
-                        workers=self.workers,
                     )
                     for entry, result in zip(fresh, results):
                         self._memo[(slot, entry.spec, batch.engine)] = result

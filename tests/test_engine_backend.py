@@ -135,14 +135,14 @@ class TestKernelBitIdentity:
 class TestBackendSelection:
     def test_python_always_available(self):
         availability = backend_availability()
-        assert set(availability) == {"python", "numba", "cext"}
+        assert set(availability) == {"python", "cext"}
         assert availability["python"][0] is True
 
     def test_resolve_defaults_to_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "python")
         assert resolve_backend() == "python"
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "")
-        assert resolve_backend() in ("python", "numba", "cext")
+        assert resolve_backend() in ("python", "cext")
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "nonsense")
@@ -150,7 +150,7 @@ class TestBackendSelection:
 
     def test_auto_resolves_to_concrete_backend(self):
         resolved = resolve_backend("auto")
-        assert resolved in ("python", "numba", "cext")
+        assert resolved in ("python", "cext")
         assert backend_availability()[resolved][0] if resolved != "python" else True
 
     def test_unknown_backend_rejected(self):
@@ -158,11 +158,10 @@ class TestBackendSelection:
             resolve_backend("fortran")
 
     def test_unavailable_backend_by_name_raises(self):
-        for name in ("numba", "cext"):
-            usable, _ = backend_availability()[name]
-            if not usable:
-                with pytest.raises(ConfigurationError, match="unavailable"):
-                    resolve_backend(name)
+        usable, _ = backend_availability()["cext"]
+        if not usable:
+            with pytest.raises(ConfigurationError, match="unavailable"):
+                resolve_backend("cext")
 
     def test_env_backend_used_by_auto_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "python")
@@ -180,7 +179,7 @@ class TestBackendSelection:
         assert compiled_stream(StaticSpec().build()) is None
 
     def test_backends_tuple_is_the_cli_contract(self):
-        assert BACKENDS == ("auto", "python", "numba", "cext")
+        assert BACKENDS == ("auto", "python", "cext")
 
 
 class TestSessionAndCliPlumbing:
@@ -225,20 +224,24 @@ class TestSessionAndCliPlumbing:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "python" in out and "available" in out
+        rows = [line.split()[0] for line in out.splitlines() if line.strip()]
+        assert rows[:3] == ["python", "cext", "auto"]
+        assert "numba" not in out
 
-    def test_cli_rejects_bad_workers(self, capsys):
+    def test_cli_simulate_has_no_workers_flag(self, capsys):
         from repro.cli import main
 
-        code = main(
-            [
-                "simulate",
-                "--spec",
-                '{"kind": "bimodal"}',
-                "--workload",
-                '{"kind": "kernel", "name": "bubble_sort", "size": 32}',
-                "--workers",
-                "many",
-            ]
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "simulate",
+                    "--spec",
+                    '{"kind": "bimodal"}',
+                    "--workload",
+                    '{"kind": "kernel", "name": "bubble_sort", "size": 32}',
+                    "--workers",
+                    "2",
+                ]
+            )
+        assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for SimulationResult and the reference engine front end."""
+"""Tests for SimulationResult, its per-PC attribution and the engine front end."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.engine import (
     simulate,
     simulate_reference,
 )
+from repro.engine.results import _attribute_chunks
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors import (
     AlwaysTakenPredictor,
@@ -150,3 +151,46 @@ class TestSimulateDispatch:
     def test_unknown_engine(self):
         with pytest.raises(ConfigurationError):
             simulate(AlwaysTakenPredictor(), Trace.empty(), engine="quantum")
+
+
+class TestAttributeChunks:
+    """The one per-PC miss attribution behind every carrier."""
+
+    @staticmethod
+    def always(direction):
+        return lambda pcs, outcomes: [np.full(len(pcs), direction, dtype=np.uint8)]
+
+    def test_later_chunks_widen_the_sorted_pc_axis(self):
+        chunks = [
+            Trace.from_pairs([(40, 1), (20, 0), (40, 1)]),
+            Trace.from_pairs([(10, 0), (40, 0), (30, 1)]),
+            Trace.from_pairs([(20, 0), (50, 1)]),
+        ]
+        (result,) = _attribute_chunks(self.always(1), [AlwaysTakenPredictor()], chunks)
+        assert list(result.pcs) == [10, 20, 30, 40, 50]
+        assert list(result.executions) == [1, 2, 1, 3, 1]
+        assert list(result.mispredictions) == [1, 2, 0, 1, 0]
+        assert result.predictor_name == "always-taken"
+
+    def test_one_row_per_predictor(self):
+        def feed(pcs, outcomes):
+            return [np.ones(len(pcs), np.uint8), np.zeros(len(pcs), np.uint8)]
+
+        chunks = [(np.array([8, 4]), np.array([1, 0])), (np.array([4]), np.array([0]))]
+        taken, not_taken = _attribute_chunks(
+            feed, [AlwaysTakenPredictor(), AlwaysTakenPredictor()], chunks
+        )
+        assert list(taken.pcs) == list(not_taken.pcs) == [4, 8]
+        assert list(taken.mispredictions) == [2, 0]
+        assert list(not_taken.mispredictions) == [0, 1]
+
+    def test_names_and_empty_chunks(self):
+        chunks = [Trace.empty(), Trace.from_pairs([(4, 1)], name="first")]
+        (named,) = _attribute_chunks(self.always(0), [AlwaysTakenPredictor()], chunks)
+        assert named.trace_name == "first"
+        (overridden,) = _attribute_chunks(
+            self.always(0), [AlwaysTakenPredictor()], chunks, trace_name="given"
+        )
+        assert overridden.trace_name == "given"
+        (empty,) = _attribute_chunks(self.always(0), [AlwaysTakenPredictor()], [Trace.empty()])
+        assert len(empty.pcs) == 0 and empty.total_executions == 0

@@ -1,5 +1,7 @@
 """Tests for the segmented prefix scans and their grouping helper."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from repro.engine import (
     segmented_automaton_scan,
     segmented_saturating_scan,
 )
-from repro.engine.scan import stable_key_order
+from repro.engine.scan import _monoid_after_ids, clamp_monoid, stable_key_order
 
 
 class TestCounterStepTable:
@@ -213,8 +215,154 @@ def test_saturating_scan_matches_reference_property(data, bits, n):
     assert np.array_equal(got, reference_saturating(taken, starts, initial, max_state))
 
 
+def clamp_word(word, state, max_state):
+    for step in word:
+        state = max(state - 1, 0) if step == 0 else min(state + 1, max_state)
+    return state
+
+
+class TestClampMonoid:
+    """The interned clamp-function monoid behind the tabled scan."""
+
+    @pytest.mark.parametrize("max_state", (1, 3, 7))
+    def test_steps_and_composition_match_brute_force(self, max_state):
+        monoid = clamp_monoid(max_state)
+        rng = np.random.default_rng(max_state)
+        for _ in range(50):
+            word = rng.integers(0, 2, rng.integers(1, 12)).tolist()
+            fid = monoid.step_ids[word[0]]
+            for step in word[1:]:
+                fid = monoid.compose[monoid.step_ids[step], fid]
+            for init in range(max_state + 1):
+                assert monoid.values[fid, init] == clamp_word(word, init, max_state)
+
+    def test_associativity_exhaustive_small(self):
+        monoid = clamp_monoid(3)
+        ids = range(len(monoid.values))
+        for a, b, c in itertools.product(ids, repeat=3):
+            assert (
+                monoid.compose[monoid.compose[c, b], a]
+                == monoid.compose[c, monoid.compose[b, a]]
+            )
+
+    def test_rejects_wide_counters(self):
+        with pytest.raises(ConfigurationError):
+            clamp_monoid(8)
+        with pytest.raises(ConfigurationError):
+            clamp_monoid(0)
+
+
+class TestMonoidScanReplay:
+    """The tabled scan yields clamp-function ids, not states: each id
+    replays its segment's steps from *any* entry state, so one scan
+    serves the scalar reset and per-segment carried values alike."""
+
+    @pytest.mark.parametrize("max_state", (1, 3, 7))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_ids_replay_from_any_entry_state(self, max_state, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        taken = rng.integers(0, 2, n).astype(np.uint8)
+        starts = np.zeros(n, dtype=bool)
+        starts[0] = True
+        starts[rng.integers(1, n, 12)] = True
+        after_ids = _monoid_after_ids(taken, starts, max_state)
+        values = clamp_monoid(max_state).values
+        for init in range(max_state + 1):
+            state = init
+            for i in range(n):
+                if starts[i]:
+                    state = init
+                state = clamp_word([int(taken[i])], state, max_state)
+                assert values[after_ids[i], init] == state
+
+
+def segment_initial_states(starts, rng, max_state):
+    """A per-element initial-state array, constant within each segment."""
+    segment_ids = np.cumsum(starts) - 1
+    per_segment = rng.integers(0, max_state + 1, segment_ids[-1] + 1)
+    return per_segment[segment_ids].astype(np.uint8)
+
+
+def reference_from_carried(step, inputs, segment_starts, initial):
+    """Per-step loop where each segment starts from its own value."""
+    out = []
+    state = 0
+    for i, (sym, is_start) in enumerate(zip(inputs, segment_starts)):
+        if is_start:
+            state = int(initial[i])
+        out.append(state)
+        state = step(int(sym), state)
+    return np.asarray(out, dtype=np.uint8)
+
+
+class TestCarriedInitialStates:
+    """Per-element initial states: the form every carrier passes after
+    its first chunk, each counter resuming from its carried value."""
+
+    @pytest.mark.parametrize("max_state", (1, 3, 7, 15, 63))
+    def test_saturating_scan_resumes_each_segment(self, max_state):
+        rng = np.random.default_rng(max_state)
+        n = 3000
+        taken = rng.integers(0, 2, n)
+        starts = rng.random(n) < 0.02
+        starts[0] = True
+        initial = segment_initial_states(starts, rng, max_state)
+        got = segmented_saturating_scan(taken, starts, initial, max_state)
+        expected = reference_from_carried(
+            lambda t, s: clamp_word([t], s, max_state), taken, starts, initial
+        )
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("max_state", (1, 3, 7, 15))
+    def test_scalar_equals_constant_array(self, max_state):
+        # A carrier never fed scans from its scalar reset value; that
+        # must equal scanning from a table filled with that value.
+        rng = np.random.default_rng(max_state + 100)
+        n = 2000
+        taken = rng.integers(0, 2, n)
+        starts = rng.random(n) < 0.05
+        starts[0] = True
+        for reset in range(max_state + 1):
+            constant = np.full(n, reset, dtype=np.uint8)
+            assert np.array_equal(
+                segmented_saturating_scan(taken, starts, reset, max_state),
+                segmented_saturating_scan(taken, starts, constant, max_state),
+            )
+
+    @pytest.mark.parametrize("bits", (1, 2, 3))
+    def test_automaton_scan_resumes_each_segment(self, bits):
+        # Decrement / increment / hold: the tournament chooser's automaton.
+        table = np.vstack(
+            [counter_step_table(bits), np.arange(1 << bits, dtype=np.uint8)[None]]
+        )
+        rng = np.random.default_rng(bits)
+        n = 2000
+        inputs = rng.integers(0, 3, n)
+        starts = rng.random(n) < 0.03
+        starts[0] = True
+        initial = segment_initial_states(starts, rng, (1 << bits) - 1)
+        got = segmented_automaton_scan(table, inputs, starts, initial)
+        expected = reference_from_carried(
+            lambda sym, s: int(table[sym, s]), inputs, starts, initial
+        )
+        assert np.array_equal(got, expected)
+
+    def test_rejects_misshapen_initial_array(self):
+        with pytest.raises(ConfigurationError, match="shape"):
+            segmented_saturating_scan(
+                np.array([1, 0]), np.array([True, False]), np.array([1], np.uint8), 3
+            )
+
+    def test_rejects_out_of_range_initial_array(self):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            segmented_saturating_scan(
+                np.array([1, 0]), np.array([True, True]), np.array([1, 4], np.uint8), 3
+            )
+
+
 class TestStableKeyOrder:
-    @pytest.mark.parametrize("key_bits", [8, 16, 17, 23, 32])
+    @pytest.mark.parametrize("key_bits", [8, 16, 17, 23, 24, 25, 32])
     def test_matches_argsort(self, key_bits):
         rng = np.random.default_rng(key_bits)
         keys = rng.integers(0, 1 << key_bits, size=4000)

@@ -1,10 +1,11 @@
-"""Bit-identity of the streaming engine path with the in-memory engines.
+"""Bit-identity of the chunked carriers with the reference oracle.
 
 The acceptance contract of the out-of-core subsystem: for every
 registered predictor family and across pathological chunk lengths
-(including 1), ``simulate_stream`` over chunks equals ``simulate`` over
-the concatenated trace, the chunked batched sweep equals the in-memory
-sweep, and the session/pipeline threading preserves all of it.
+(including 1), ``simulate_stream`` over chunks equals
+``simulate_reference`` over the concatenated trace, the chunked batched
+sweep equals the in-memory sweep, and the session/pipeline threading
+preserves all of it.
 """
 
 import numpy as np
@@ -12,9 +13,14 @@ import pytest
 
 from repro.analysis.history_sweep import SweepConfig, sweep_trace, sweep_workload
 from repro.classify.profile import ProfileTable
-from repro.engine import simulate, simulate_stream, simulate_sweep_stream
-from repro.engine.batched import simulate_sweep
-from repro.engine.streaming import simulate_batched_stream
+from repro.engine import (
+    simulate,
+    simulate_batched_stream,
+    simulate_reference,
+    simulate_stream,
+    simulate_sweep,
+    simulate_sweep_stream,
+)
 from repro.errors import ConfigurationError
 from repro.predictors.paper_configs import paper_spec
 from repro.session import Session, StreamedTrace
@@ -100,7 +106,7 @@ class TestSimulateStreamEquivalence:
     @pytest.mark.parametrize("chunk_len", CHUNK_LENGTHS)
     def test_every_family_bit_identical(self, kind, chunk_len):
         spec = FAMILY_SPECS[kind]
-        base = simulate(spec, TRACE)
+        base = simulate_reference(spec.build(), TRACE)
         result = simulate_stream(spec, chunks_of(TRACE, chunk_len))
         assert np.array_equal(result.pcs, base.pcs)
         assert np.array_equal(result.executions, base.executions)
@@ -147,7 +153,7 @@ class TestBatchedStreamEquivalence:
         specs = [paper_spec("pas", k) for k in (0, 2, 6)] + [
             paper_spec("gas", k) for k in (0, 4, 8)
         ]
-        bases = [simulate(s, TRACE) for s in specs]
+        bases = [simulate_reference(s.build(), TRACE) for s in specs]
         for chunk_len in CHUNK_LENGTHS:
             results = simulate_batched_stream(
                 [s.build() for s in specs], chunks_of(TRACE, chunk_len)
