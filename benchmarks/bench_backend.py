@@ -1,13 +1,17 @@
 """Compiled kernel backends.
 
-Measures the ``REPRO_ENGINE_BACKEND`` layer against the stateful
-reference path it replaces (see docs/PERFORMANCE.md): per-record kernel
-throughput for every *available* backend on one reference-path family
-(YAGS) plus the stateful reference loop — the compiled backends must be
-≥ 4× the reference path.
+Measures the ``REPRO_ENGINE_BACKEND`` layer (see docs/PERFORMANCE.md):
 
-Every timed body re-checks bit-exactness against the reference engine,
-so a snapshot can never record a fast wrong answer.
+* per-record kernel throughput for every *available* backend on one
+  reference-path family (YAGS) plus the stateful reference loop — the
+  compiled backends must be ≥ 4× the reference path;
+* the paper's 34-configuration sweep on the two-level carrier under
+  each backend — the C ``sweep_step`` kernel must be ≥ 3× the numpy
+  scans it replaces as the default, in the same run.
+
+Every timed body re-checks bit-exactness (against the reference engine,
+or for the sweep, across the two independent backends), so a snapshot
+can never record a fast wrong answer.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import simulate, simulate_reference
+from repro.engine import simulate, simulate_reference, simulate_sweep
 from repro.engine.backend import backend_availability
 from repro.spec import YagsSpec
 from repro.workloads.synthetic import SPEC95_INPUTS, input_trace
@@ -23,6 +27,10 @@ from repro.workloads.synthetic import SPEC95_INPUTS, input_trace
 #: Compiled per-record kernels must beat the stateful reference loop by
 #: at least this factor (the ISSUE 10 acceptance bar).
 COMPILED_SPEEDUP_FLOOR = 4.0
+
+#: The C sweep kernel must beat the carrier's numpy scans by at least
+#: this factor on the go sweep (4.6× measured on a 2-vCPU Xeon).
+SWEEP_SPEEDUP_FLOOR = 3.0
 
 
 def available_backends() -> list[str]:
@@ -97,4 +105,54 @@ def test_compiled_speedup_floor(trace, yags_reference):
     assert compiled_time * COMPILED_SPEEDUP_FLOOR <= reference_time, (
         f"compiled {compiled_time:.3f}s vs reference {reference_time:.3f}s: "
         f"below the {COMPILED_SPEEDUP_FLOOR}x floor"
+    )
+
+
+def sweep_misses(sweep) -> list[np.ndarray]:
+    return [sweep.mispredictions(*key) for key in sweep.keys()]
+
+
+@pytest.fixture(scope="module")
+def sweep_expected(trace):
+    """The 34 configurations' per-PC misses on the numpy path."""
+    return sweep_misses(simulate_sweep(trace, backend="python"))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_sweep_backend(benchmark, trace, sweep_expected, backend):
+    """The paper's 34-configuration sweep on the two-level carrier."""
+    benchmark.group = "sweep-backend"
+    sweep = benchmark(lambda: simulate_sweep(trace, backend=backend))
+    got = sweep_misses(sweep)
+    assert all(np.array_equal(a, b) for a, b in zip(got, sweep_expected))
+    benchmark.extra_info["records"] = len(trace)
+    benchmark.extra_info["configs"] = len(got)
+
+
+def test_sweep_backend_floor(trace, sweep_expected):
+    """The C sweep kernel clears its same-run floor over the numpy scans.
+
+    Timed by hand, like ``test_compiled_speedup_floor``, so it also runs
+    under plain pytest.
+    """
+    import time
+
+    if "cext" not in available_backends():
+        pytest.skip("no compiled backend available (cext absent: no C compiler)")
+
+    def best_of(backend, repeats=3):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            sweep = simulate_sweep(trace, backend=backend)
+            times.append(time.perf_counter() - start)
+            got = sweep_misses(sweep)
+            assert all(np.array_equal(a, b) for a, b in zip(got, sweep_expected))
+        return min(times)
+
+    numpy_time = best_of("python")
+    kernel_time = best_of("cext")
+    assert kernel_time * SWEEP_SPEEDUP_FLOOR <= numpy_time, (
+        f"cext {kernel_time:.3f}s vs python {numpy_time:.3f}s: "
+        f"below the {SWEEP_SPEEDUP_FLOOR}x floor"
     )

@@ -181,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help=(
-            "compiled-kernel backend for reference-path families "
-            "(default: $REPRO_ENGINE_BACKEND or auto; see "
-            "docs/PERFORMANCE.md)"
+            "kernel backend of the two-level carrier and the compiled "
+            "per-record families (default: $REPRO_ENGINE_BACKEND or auto; "
+            "see docs/PERFORMANCE.md)"
         ),
     )
     _add_context_options(sim)

@@ -13,10 +13,11 @@ There is one engine plus an oracle (see ``docs/ENGINES.md``):
 
 carriers (:func:`stream_simulator`, :class:`~repro.engine.batched.BatchedStream`)
     One chunked simulator per predictor family, carrying all predictor
-    state between chunks: segmented-scan arrays for the two-level
-    family (many configurations in one pass), agree, tournament,
-    class-routed hybrids and static predictors; compiled per-record
-    kernels for YAGS/bi-mode/filter/DHLF (:mod:`repro.engine.backend`).
+    state between chunks: the two-level family (many configurations in
+    one pass) runs a compiled sweep kernel or, without a C compiler,
+    segmented-scan arrays; agree, tournament, class-routed hybrids and
+    static predictors run arrays; YAGS/bi-mode/filter/DHLF run compiled
+    per-record kernels (:mod:`repro.engine.backend`).
     The streamed entry points (:func:`simulate_stream`,
     :func:`simulate_batched_stream`, :func:`simulate_sweep_stream`)
     feed them an iterator of chunks with peak memory O(chunk); the
@@ -116,10 +117,10 @@ def simulate(
         ``"batched"`` (two-level family only; a one-configuration
         batch), or ``"reference"`` (the oracle).
     backend:
-        Compiled-kernel implementation for the reference-path families
-        (``python``/``cext``/``auto``; see :mod:`repro.engine.backend`
-        and docs/PERFORMANCE.md).  Default: ``REPRO_ENGINE_BACKEND``,
-        else auto-detect.
+        Kernel implementation of the two-level carrier and the compiled
+        per-record families (``python``/``cext``/``auto``; see
+        :mod:`repro.engine.backend` and docs/PERFORMANCE.md).  Default:
+        ``REPRO_ENGINE_BACKEND``, else auto-detect.
     """
     predictor = build_predictor(predictor)
     if engine == "reference":

@@ -1,26 +1,32 @@
-"""Execution-backend selection for the reference-path predictor families.
+"""Execution-backend selection for the compiled kernels.
 
-Four families (YAGS, bi-mode, filter-over-two-level, DHLF) carry state
-that defeats the segmented-scan engines, so they advance one record at
-a time.  This module picks *how* that per-record loop runs:
+Two kinds of loop have a compiled form.  The four per-record families
+(YAGS, bi-mode, filter-over-two-level, DHLF) carry state that defeats
+the segmented-scan carriers, so they advance one record at a time.  The
+two-level carrier (:class:`~repro.engine.batched.BatchedStream`, which
+runs the paper's history sweep) advances every configuration over a
+chunk.  This module picks *how* those loops run:
 
 ``python``
-    The :mod:`repro.engine.compiled.kernels` loops interpreted by
-    CPython.  Always available; bit-identical to the stateful
-    reference predictors.
+    The per-record families run the :mod:`repro.engine.compiled.kernels`
+    loops interpreted by CPython; the two-level carrier runs its numpy
+    scans.  Always available; bit-identical to the stateful reference
+    predictors.
 ``cext``
-    A C transliteration built on demand with the host C compiler and
-    loaded through ctypes (:mod:`repro.engine.compiled.cext`).
-    Available when a working compiler is found.
+    C built on demand with the host C compiler and loaded through
+    ctypes (:mod:`repro.engine.compiled.cext`): a transliteration of
+    each per-record kernel, and the ``sweep_step`` kernel of the
+    two-level carrier.  Available when a working compiler is found.
 ``auto``
     The fastest available: ``cext``, else ``python``.
 
 Selection order: explicit argument (``--backend`` on the CLI,
 ``backend=`` in the API) beats the ``REPRO_ENGINE_BACKEND`` environment
-variable, which beats ``auto``.  Requesting an unavailable backend by
-name is a :class:`~repro.errors.ConfigurationError` (only ``auto``
-falls back silently); every backend emits byte-identical predictions,
-pinned by ``tests/test_engine_backend.py``.
+variable, which beats ``auto``.  A carrier resolves its backend once,
+when it is built.  Requesting an unavailable backend by name is a
+:class:`~repro.errors.ConfigurationError` (only ``auto`` falls back
+silently); every backend emits byte-identical predictions, pinned by
+``tests/test_engine_backend.py`` and ``tests/test_engine_batched.py``.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def backend_availability() -> dict[str, tuple[bool, str]]:
     compile of the C kernels.
     """
     return {
-        "python": (True, "interpreted kernels (always available)"),
+        "python": (True, "interpreted kernels and numpy sweep scans (always available)"),
         "cext": cext.available(),
     }
 

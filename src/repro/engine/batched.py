@@ -6,36 +6,49 @@ any set of two-level configurations (PAs/GAs/gshare/gselect/pshare and
 the bimodal degenerate case) over one branch stream in a single pass,
 fed one chunk at a time.  A *carrier* keeps all predictor state between
 chunks, so a whole trace fed as one chunk and the same trace fed in
-pieces give bit-identical predictions.  Three structural facts make a
-chunk cheap:
+pieces give bit-identical predictions.  Identical geometries (the
+paper's PAs-h0 and GAs-h0) are simulated once.
 
-1. **Histories are sliding windows, computed once per geometry.**  The
-   k-bit history before a step is a pure function of the preceding
-   outcomes (k shifted ORs, no loop), and it is the low k bits of the
-   K-bit one (K ≥ k).  One window at the longest requested length
-   serves every shorter length: global histories need one window,
-   per-address histories one per BHT geometry.  The carried register
-   bits enter each step's window at its genuine depth.
-2. **Counters evolve independently per PHT entry.**  Grouping steps by
-   PHT index (stable sort) makes each entry a tiny saturating-counter
-   automaton over its own input sequence, solved by a segmented scan
-   (:mod:`repro.engine.scan`) that resumes each entry from its carried
-   value.
-3. **Scans stack.**  Every unique configuration's PHT sits in one flat
-   table, so several configurations' (PHT index, outcome) streams share
-   one stable sort and one segmented scan; stacks are chunked
-   (``max_chunk_elements``) to bound peak memory.
+The backend (:mod:`repro.engine.backend`), resolved once per carrier,
+picks one of two paths:
+
+* ``cext`` — the C ``sweep_step`` kernel
+  (:mod:`repro.engine.compiled.cext`) steps every unique configuration
+  over the chunk: its PHT counters, its global history register or BHT
+  rows, and one row of predictions each.
+* ``python`` — numpy, for hosts without a C compiler.  Three
+  structural facts make a chunk cheap:
+
+  1. **Histories are sliding windows, computed once per geometry.**
+     The k-bit history before a step is a pure function of the
+     preceding outcomes (k shifted ORs, no loop), and it is the low k
+     bits of the K-bit one (K ≥ k).  One window at the longest
+     requested length serves every shorter length: global histories
+     need one window, per-address histories one per BHT geometry.  The
+     carried register bits enter each step's window at its genuine
+     depth.
+  2. **Counters evolve independently per PHT entry.**  Grouping steps
+     by PHT index (stable sort) makes each entry a tiny
+     saturating-counter automaton over its own input sequence, solved
+     by a segmented scan (:mod:`repro.engine.scan`) that resumes each
+     entry from its carried value.
+  3. **Scans stack.**  Every unique configuration's PHT sits in one
+     flat table, so several configurations' (PHT index, outcome)
+     streams share one stable sort and one segmented scan; stacks are
+     chunked (``max_chunk_elements``) to bound peak memory.
 
 A single two-level predictor is a one-configuration batch.  The
 in-memory entry points (:func:`simulate_batched`,
 :func:`predictions_batched`, :func:`simulate_sweep`) feed the whole
 trace as one chunk; the streamed ones (:func:`simulate_batched_stream`,
 :func:`simulate_sweep_stream`) feed an iterator of chunks.  Every result
-is bit-exact with the reference engine (``tests/test_engine_batched.py``).
+is bit-exact with the reference engine on both paths
+(``tests/test_engine_batched.py``).
 """
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Iterable
 
 import numpy as np
@@ -45,6 +58,8 @@ from ..predictors.bimodal import BimodalPredictor
 from ..predictors.paper_configs import HISTORY_LENGTHS, paper_predictor
 from ..predictors.twolevel import TwoLevelPredictor
 from ..trace.stream import Trace
+from .backend import resolve_backend
+from .compiled import cext
 from .results import SimulationResult, _attribute_chunks
 from .scan import segmented_saturating_scan, stable_key_order
 
@@ -346,15 +361,95 @@ def _spec_of(predictor) -> _Spec:
     )
 
 
+def _zeroed(count: int, dtype) -> np.ndarray:
+    """``count`` zeros on a private anonymous memory map.
+
+    A page costs memory only once written, so a short trace pays for
+    the few table pages it touches, not for every entry; and the map
+    goes back to the operating system as soon as the array dies, so
+    megabyte tables neither linger in nor resize the allocator's heap
+    of a long-running process.
+    """
+    dtype = np.dtype(dtype)
+    pages = mmap.mmap(-1, max(count, 1) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype, count)
+
+
+class _SweepKernel:
+    """Dense state of every unique configuration, advanced one chunk
+    per call by the C ``sweep_step`` kernel.
+
+    Each configuration owns its PHT, its global register (one slot of
+    ``regs``) and, for per-address history, its BHT rows, all at its
+    own history width; ``params`` holds the layout
+    (:data:`~repro.engine.compiled.cext.SWEEP_PARAMS` columns per
+    configuration).  The layout is checked against the tables once,
+    here, so no call can index outside them.
+
+    The PHT holds each counter XOR its reset value, so both tables start
+    as zeros, each on its own anonymous memory map (:func:`_zeroed`).
+    """
+
+    __slots__ = ("step", "params", "regs", "pht", "bht")
+
+    def __init__(self, unique: list[_Spec], step) -> None:
+        self.step = step
+        params = [len(unique)]
+        pht_size = bht_size = 0
+        for s in unique:
+            per_address = s.history_kind == "per-address" and s.history_bits > 0
+            entries = s.bht_entries if per_address else 0
+            params += [
+                int(per_address),
+                s.history_bits,
+                s.pht_index_bits,
+                int(s.index_scheme == "xor"),
+                pht_size,
+                bht_size,
+                entries - 1,
+                s.counter_bits,
+            ]
+            pht_size += 1 << s.pht_index_bits
+            bht_size += entries
+        self.params = np.array(params, dtype=np.int64)
+        self.regs = np.zeros(len(unique), dtype=np.int64)
+        self.pht = _zeroed(pht_size, np.uint8)
+        self.bht = _zeroed(bht_size, np.int64)
+        cext.check_sweep_tables(self.params, self.regs, self.pht, self.bht)
+
+    def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+        """Predictions of every configuration for one chunk, one row each."""
+        predictions = np.empty((len(self.regs), len(pcs)), dtype=np.uint8)
+        self.step(
+            np.ascontiguousarray(pcs, dtype=np.int64),
+            np.ascontiguousarray(outcomes, dtype=np.uint8),
+            predictions,
+            self.regs,
+            self.params,
+            self.pht,
+            self.bht,
+        )
+        return predictions
+
+
 class BatchedStream:
     """The multi-configuration carrier of the two-level family.
 
-    Shares one global-history window, one per-BHT-geometry window and
-    stacked counter scans across every configuration in the batch,
-    fed chunk by chunk.  Carried state: history registers at the
-    *longest* requested length per geometry, and one PHT per unique
-    configuration (identical geometries, such as the paper's PAs-h0 and
-    GAs-h0, are simulated once).
+    Identical geometries, such as the paper's PAs-h0 and GAs-h0, are
+    simulated once and share one prediction array.  ``backend``
+    (:func:`~repro.engine.backend.resolve_backend`, resolved once, here)
+    picks how the unique configurations advance:
+
+    ``cext``
+        The C ``sweep_step`` kernel steps every configuration over the
+        chunk (:class:`_SweepKernel`).
+    ``python``
+        Numpy: one global-history window, one per-BHT-geometry window
+        and stacked counter scans shared across the batch.  Carried
+        state: history registers at the *longest* requested length per
+        geometry, and one PHT per unique configuration, built only when
+        a second chunk reads it.  ``max_chunk_elements`` bounds each
+        stacked scan.
     """
 
     def __init__(
@@ -362,22 +457,12 @@ class BatchedStream:
         predictors,
         *,
         max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+        backend: str | None = None,
     ) -> None:
         if max_chunk_elements < 1:
             raise ConfigurationError("max_chunk_elements must be positive")
         self.max_chunk_elements = max_chunk_elements
         specs = [_spec_of(p) for p in predictors]
-
-        # Shared carried history state: global at the longest global
-        # length; one BHT per geometry at that geometry's longest length
-        # (shorter configs mask the same windows down).
-        global_bits = max((s.history_bits for s in specs if s.history_kind == "global"), default=0)
-        self._global = _GlobalHistory(global_bits) if global_bits else None
-        bht_bits: dict[int, int] = {}
-        for s in specs:
-            if s.history_kind == "per-address" and s.history_bits > 0:
-                bht_bits[s.bht_entries] = max(bht_bits.get(s.bht_entries, 0), s.history_bits)
-        self._bht = {entries: _SlotHistory(entries, bits) for entries, bits in bht_bits.items()}
 
         # Unique configurations, their PHTs laid end to end in one table.
         self._slot_of_spec: list[int] = []
@@ -394,6 +479,24 @@ class BatchedStream:
                 self._offsets.append(size)
                 size += 1 << s.pht_index_bits
             self._slot_of_spec.append(slot)
+
+        self.backend = resolve_backend(backend)
+        self._kernel = None
+        if self.backend == "cext":
+            self._kernel = _SweepKernel(self._unique, cext.load()["sweep_step"])
+            return
+
+        # Shared carried history state: global at the longest global
+        # length; one BHT per geometry at that geometry's longest length
+        # (shorter configs mask the same windows down).
+        global_bits = max((s.history_bits for s in specs if s.history_kind == "global"), default=0)
+        self._global = _GlobalHistory(global_bits) if global_bits else None
+        bht_bits: dict[int, int] = {}
+        for s in specs:
+            if s.history_kind == "per-address" and s.history_bits > 0:
+                bht_bits[s.bht_entries] = max(bht_bits.get(s.bht_entries, 0), s.history_bits)
+        self._bht = {entries: _SlotHistory(entries, bits) for entries, bits in bht_bits.items()}
+
         sizes = [1 << s.pht_index_bits for s in self._unique]
         resets = np.array([1 << (s.counter_bits - 1) for s in self._unique], dtype=np.uint8)
         self._pht = _Carried(lambda: np.repeat(resets, sizes))
@@ -404,6 +507,15 @@ class BatchedStream:
         n = len(pcs)
         if n == 0:
             return [np.zeros(0, dtype=np.uint8) for _ in self._slot_of_spec]
+        if self._kernel is not None:
+            unique_predictions = list(self._kernel.feed(pcs, outcomes))
+        else:
+            unique_predictions = self._scan(pcs, outcomes)
+        return [unique_predictions[slot] for slot in self._slot_of_spec]
+
+    def _scan(self, pcs: np.ndarray, outcomes: np.ndarray) -> list[np.ndarray]:
+        """The ``python`` path: predictions of every unique configuration."""
+        n = len(pcs)
         fed = self._pht.fed
         global_hist = self._global.windows(outcomes) if self._global else None
         bht_hist = {entries: state.windows(pcs, outcomes) for entries, state in self._bht.items()}
@@ -437,7 +549,7 @@ class BatchedStream:
                 stacked = self._stacked_scan(group, unique_indices, outcomes, counter_bits, fed)
                 for slot, predictions in zip(group, stacked):
                     unique_predictions[slot] = predictions
-        return [unique_predictions[slot] for slot in self._slot_of_spec]
+        return unique_predictions
 
     def _stacked_scan(
         self,
@@ -483,16 +595,17 @@ def predictions_batched(
     trace: Trace,
     *,
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
 ) -> list[np.ndarray]:
     """Per-step predictions (uint8, 1 = taken) for many two-level
     predictors over one trace, fed to a :class:`BatchedStream` as one
     chunk.  Duplicated geometries are simulated once and share one
     array; ``max_chunk_elements`` bounds ``configs × len(trace)`` per
-    stacked scan.
+    stacked scan of the ``python`` backend.
     """
-    return BatchedStream(predictors, max_chunk_elements=max_chunk_elements).feed(
-        trace.pcs, trace.outcomes
-    )
+    return BatchedStream(
+        predictors, max_chunk_elements=max_chunk_elements, backend=backend
+    ).feed(trace.pcs, trace.outcomes)
 
 
 def simulate_batched(
@@ -500,13 +613,18 @@ def simulate_batched(
     trace: Trace,
     *,
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
 ) -> list[SimulationResult]:
     """Cold-start simulation of many two-level predictors with per-PC
     attribution: :func:`simulate_batched_stream` over the trace as one
     chunk.  Each result is exactly what ``simulate_reference`` would
     produce for that predictor."""
     return simulate_batched_stream(
-        predictors, [trace], max_chunk_elements=max_chunk_elements, trace_name=trace.name
+        predictors,
+        [trace],
+        max_chunk_elements=max_chunk_elements,
+        backend=backend,
+        trace_name=trace.name,
     )
 
 
@@ -515,6 +633,7 @@ def simulate_batched_stream(
     chunks: Iterable,
     *,
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
     trace_name: str | None = None,
 ) -> list[SimulationResult]:
     """Many two-level predictors over a chunk iterator in one pass.
@@ -523,10 +642,11 @@ def simulate_batched_stream(
     chunks, with peak memory O(chunk × configs-per-pass) instead of
     O(trace).  Chunks are :class:`~repro.trace.stream.Trace` objects
     (e.g. a :class:`~repro.trace.io.TraceReader`) or ``(pcs, outcomes)``
-    pairs.
+    pairs.  ``backend`` picks the carrier's path (see
+    :class:`BatchedStream`); the results do not depend on it.
     """
     predictors = list(predictors)
-    carrier = BatchedStream(predictors, max_chunk_elements=max_chunk_elements)
+    carrier = BatchedStream(predictors, max_chunk_elements=max_chunk_elements, backend=backend)
     return _attribute_chunks(carrier.feed, predictors, chunks, trace_name)
 
 
@@ -582,6 +702,7 @@ def simulate_sweep(
     kinds=("pas", "gas"),
     history_lengths=tuple(HISTORY_LENGTHS),
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
 ) -> BatchedSweepResult:
     """Simulate the paper's PAs/GAs sweep over ``trace`` in one pass.
 
@@ -594,6 +715,7 @@ def simulate_sweep(
         kinds=kinds,
         history_lengths=history_lengths,
         max_chunk_elements=max_chunk_elements,
+        backend=backend,
         trace_name=trace.name,
     )
 
@@ -604,6 +726,7 @@ def simulate_sweep_stream(
     kinds=("pas", "gas"),
     history_lengths=None,
     max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
+    backend: str | None = None,
     trace_name: str | None = None,
 ) -> BatchedSweepResult:
     """The paper's PAs/GAs sweep over a chunk iterator in one pass.
@@ -620,6 +743,7 @@ def simulate_sweep_stream(
         [paper_predictor(kind, k) for kind, k in keys],
         chunks,
         max_chunk_elements=max_chunk_elements,
+        backend=backend,
         trace_name=trace_name,
     )
     if results:

@@ -9,9 +9,19 @@ changes (the file name embeds the source hash).  Any failure —
 no compiler, sandboxed tmpdir, unloadable object — marks the backend
 unavailable and the caller falls back; nothing raises at import time.
 
-The C functions are line-for-line transliterations of the Python
-kernels; both are pinned bit-identical to the reference predictors by
-``tests/test_engine_backend.py``.
+The per-record C functions are line-for-line transliterations of the
+Python kernels; both are pinned bit-identical to the reference
+predictors by ``tests/test_engine_backend.py``.  ``sweep_step`` has no
+Python twin: it advances every configuration of the two-level carrier
+over one chunk, and the carrier's numpy path is what it is tested
+against (``tests/test_engine_batched.py``).
+
+Every call is checked before it reaches C: each array must have its
+parameter's dtype and be C-contiguous (and writeable where C writes),
+and ``outcomes`` and ``predictions`` must fit ``len(pcs)``.  A bad
+array raises :class:`~repro.errors.ConfigurationError`.  The sweep's
+table layout is checked once, when its carrier is built
+(:func:`check_sweep_tables`).
 """
 
 from __future__ import annotations
@@ -23,6 +33,11 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
+
+from ...errors import ConfigurationError
+from ...spec import MAX_HISTORY_BITS
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -194,6 +209,65 @@ EXPORT void dhlf_step(
         }
     }
 }
+
+/* One two-level configuration over the chunk.  The history kind and
+   index scheme are constants at every call site, so each of the four
+   inlined copies loses its branches.  The table holds each counter
+   XOR its reset value, so a fresh table is all zeros. */
+static inline __attribute__((always_inline)) void sweep_config(
+    int64_t n, const int64_t *pcs, const uint8_t *outcomes, uint8_t *out,
+    int64_t *ghr, uint8_t *table, int64_t *rows, const int64_t *p,
+    const int per_address, const int xor_index)
+{
+    const int64_t history_bits = p[1], pht_bits = p[2];
+    const int64_t bht_mask = p[6], counter_bits = p[7];
+    const int64_t hist_mask = (1ll << history_bits) - 1;
+    const int64_t pht_mask = (1ll << pht_bits) - 1;
+    const int64_t fill = xor_index ? 0 : pht_bits - history_bits;
+    const int64_t fill_mask = (1ll << fill) - 1;
+    const uint8_t threshold = (uint8_t)(1u << (counter_bits - 1));
+    const uint8_t max = (uint8_t)((1u << counter_bits) - 1);
+    const uint8_t reset = threshold;  /* weakly taken */
+    int64_t g = *ghr;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t pc = pcs[i];
+        const int64_t taken = outcomes[i];
+        const int64_t h = per_address ? rows[pc & bht_mask] : g;
+        const int64_t index = xor_index
+            ? (h ^ pc) & pht_mask
+            : ((h << fill) | (pc & fill_mask)) & pht_mask;
+        const uint8_t v = table[index] ^ reset;
+        out[i] = v >= threshold;
+        /* Branchless: the outcome is exactly what the host's own
+           branch predictor would have to guess. */
+        table[index] = (uint8_t)(v + (taken & (v < max)) - ((taken ^ 1) & (v > 0))) ^ reset;
+        const int64_t next = ((h << 1) | taken) & hist_mask;
+        if (per_address) rows[pc & bht_mask] = next;
+        else g = next;
+    }
+    *ghr = g;
+}
+
+EXPORT void sweep_step(
+    int64_t n, const int64_t *pcs, const uint8_t *outcomes,
+    uint8_t *predictions, int64_t *regs, const int64_t *params,
+    uint8_t *pht, int64_t *bht)
+{
+    const int64_t configs = params[0];
+    for (int64_t c = 0; c < configs; c++) {
+        const int64_t *p = params + 1 + c * 8;  /* SWEEP_PARAMS columns */
+        uint8_t *out = predictions + c * n;
+        uint8_t *table = pht + p[4];
+        int64_t *rows = bht + p[5];
+        if (p[0]) {
+            if (p[3]) sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 1, 1);
+            else      sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 1, 0);
+        } else {
+            if (p[3]) sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 0, 1);
+            else      sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 0, 0);
+        }
+    }
+}
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -206,7 +280,19 @@ _SIGNATURES = {
     "bimode_step": (_I64, _U8, _U8, _I64, _I64, _U8, _U8, _U8),
     "filter_step": (_I64, _U8, _U8, _I64, _I64, _U8, _U16, _U8, _I64),
     "dhlf_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64),
+    "sweep_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64),
 }
+
+_DTYPES = {_I64: np.dtype(np.int64), _U8: np.dtype(np.uint8), _U16: np.dtype(np.uint16)}
+
+#: Positions of the arrays C only reads: ``pcs``, ``outcomes``, ``params``.
+_READ_ONLY = (0, 1, 4)
+
+#: ``params`` columns of one :func:`sweep_step` configuration, after the
+#: leading configuration count: per-address history (0/1), history bits,
+#: PHT index bits, xor indexing (0/1), PHT offset, BHT offset, BHT mask,
+#: counter bits.
+SWEEP_PARAMS = 8
 
 # Per-process memo of the build/load outcome; workers each load their
 # own handle to the shared content-addressed .so.
@@ -257,13 +343,74 @@ def _build(directory: Path) -> Path:
     return target
 
 
-def _wrap(func, argtypes):
-    """A Python-signature adapter: (arrays...) -> C call with length."""
+def _check_arrays(name: str, arrays: tuple, argtypes: tuple) -> None:
+    """Raise :class:`ConfigurationError` unless ``arrays`` can be handed
+    to C as ``name``'s parameters: one array per parameter, each of its
+    dtype and C-contiguous, the ones C writes writeable, and
+    ``outcomes`` and ``predictions`` sized for ``len(pcs)`` records
+    (``sweep_step`` writes one row of predictions per configuration)."""
+    if len(arrays) != len(argtypes):
+        raise ConfigurationError(f"{name} takes {len(argtypes)} arrays, got {len(arrays)}")
+    for position, (array, pointer) in enumerate(zip(arrays, argtypes)):
+        dtype = _DTYPES[pointer]
+        if (
+            not isinstance(array, np.ndarray)
+            or array.dtype != dtype
+            or not array.flags.c_contiguous
+            or (position not in _READ_ONLY and not array.flags.writeable)
+        ):
+            raise ConfigurationError(
+                f"{name}: array {position} must be a C-contiguous"
+                f"{'' if position in _READ_ONLY else ', writeable'} {dtype} array"
+            )
+    pcs, outcomes, predictions, regs, params = arrays[:5]
+    rows = 1
+    if name == "sweep_step":
+        # The layout itself was checked against the tables when the
+        # carrier was built; here it only has to be the same shape.
+        rows = len(regs)
+        if params.size != 1 + SWEEP_PARAMS * rows or params[0] != rows:
+            raise ConfigurationError(f"{name}: params do not describe {rows} configurations")
+    if pcs.ndim != 1 or outcomes.size != len(pcs) or predictions.size != rows * len(pcs):
+        raise ConfigurationError(
+            f"{name}: {len(pcs)} pcs need as many outcomes and {rows} row(s) of "
+            f"predictions, got {outcomes.size} and {predictions.size}"
+        )
+
+
+def check_sweep_tables(
+    params: np.ndarray, regs: np.ndarray, pht: np.ndarray, bht: np.ndarray
+) -> None:
+    """Raise :class:`ConfigurationError` unless every configuration of
+    a :func:`sweep_step` layout indexes inside its tables.  The carrier
+    checks this once, when it is built; per-call checks then only need
+    the array shapes."""
+    configs = int(params[0]) if len(params) else -1
+    if configs < 0 or len(params) != 1 + SWEEP_PARAMS * configs or len(regs) != configs:
+        raise ConfigurationError("sweep_step: params and regs disagree on the configurations")
+    for row in params[1:].reshape(configs, SWEEP_PARAMS).tolist():
+        per_address, history, pht_bits, xor_index, pht_at, bht_at, bht_mask, counter = row
+        if not (
+            per_address in (0, 1)
+            and xor_index in (0, 1)
+            and 0 <= history <= MAX_HISTORY_BITS
+            and 1 <= pht_bits <= 62
+            and (xor_index or history <= pht_bits)
+            and 1 <= counter <= 8
+            and 0 <= pht_at <= len(pht) - (1 << pht_bits)
+            and (not per_address or (0 <= bht_mask and 0 <= bht_at <= len(bht) - bht_mask - 1))
+        ):
+            raise ConfigurationError(f"sweep_step: configuration {row} is out of bounds")
+
+
+def _wrap(name, func, argtypes):
+    """A Python-signature adapter: (arrays...) -> checked C call with length."""
     func.restype = None
     func.argtypes = (ctypes.c_int64,) + argtypes
 
     def call(pcs, outcomes, predictions, regs, params, *state):
         arrays = (pcs, outcomes, predictions, regs, params) + state
+        _check_arrays(name, arrays, argtypes)
         func(len(pcs), *(a.ctypes.data_as(t) for a, t in zip(arrays, argtypes)))
 
     return call
@@ -279,7 +426,7 @@ def load() -> dict[str, object]:
     try:
         library = ctypes.CDLL(str(_build(cache_dir())))
         _cache["table"] = {
-            name: _wrap(getattr(library, name), argtypes)
+            name: _wrap(name, getattr(library, name), argtypes)
             for name, argtypes in _SIGNATURES.items()
         }
     except Exception as exc:  # noqa: BLE001 - availability probe must not raise types

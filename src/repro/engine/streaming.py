@@ -14,7 +14,7 @@ What each family carries between chunks:
 
 * **two-level / bimodal** — a one-configuration
   :class:`~repro.engine.batched.BatchedStream`: history registers and
-  the PHT;
+  the PHT, stepped by the C sweep kernel or its numpy scans;
 * **agree** — the latched biasing bits, the global history register
   and the agree/disagree PHT;
 * **tournament** — both component carriers and the PC-indexed chooser
@@ -51,6 +51,7 @@ from ..predictors.static import (
 )
 from ..predictors.tournament import TournamentPredictor
 from ..trace.stream import Trace
+from .backend import compiled_stream
 from .batched import (
     BatchedStream,
     _Carried,
@@ -97,8 +98,8 @@ class _OneConfig:
 
     __slots__ = ("batch",)
 
-    def __init__(self, predictor) -> None:
-        self.batch = BatchedStream([predictor])
+    def __init__(self, predictor, backend: str | None) -> None:
+        self.batch = BatchedStream([predictor], backend=backend)
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         return self.batch.feed(pcs, outcomes)[0]
@@ -180,9 +181,9 @@ class _AgreeStream:
 class _TournamentStream:
     """Tournament: carried component carriers + chooser table."""
 
-    def __init__(self, predictor: TournamentPredictor) -> None:
-        self.first = stream_simulator(predictor.first)
-        self.second = stream_simulator(predictor.second)
+    def __init__(self, predictor: TournamentPredictor, backend: str | None) -> None:
+        self.first = stream_simulator(predictor.first, backend=backend)
+        self.second = stream_simulator(predictor.second, backend=backend)
         chooser = predictor.chooser
         self.entries = chooser.entries
         self.index_bits = chooser.index_bits
@@ -230,9 +231,9 @@ class _TournamentStream:
 class _HybridStream:
     """Class-routed hybrid: carried per-component sub-streams."""
 
-    def __init__(self, predictor: ClassRoutedHybrid) -> None:
+    def __init__(self, predictor: ClassRoutedHybrid, backend: str | None) -> None:
         self.predictor = predictor
-        self.components = [stream_simulator(c) for c in predictor.components]
+        self.components = [stream_simulator(c, backend=backend) for c in predictor.components]
         self._route_cache: dict[int, int] = {}
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
@@ -323,13 +324,14 @@ def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = N
     kernel (:mod:`repro.engine.backend`) when the family has one, and
     the stateful reference predictor otherwise; ``"vectorized"`` and
     ``"batched"`` insist on the array and the two-level carriers.
-    ``backend`` selects the compiled-kernel implementation (default:
-    ``REPRO_ENGINE_BACKEND``, else auto-detect).
+    ``backend`` selects the kernels of the two-level carriers and of
+    the compiled per-record families (default: ``REPRO_ENGINE_BACKEND``,
+    else auto-detect); components of a tournament or hybrid inherit it.
     """
     if engine == "reference":
         return _ReferenceStream(predictor)
     if engine == "batched":
-        return _OneConfig(predictor)
+        return _OneConfig(predictor, backend)
     if engine not in ("auto", "vectorized"):
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'auto', 'vectorized', 'batched' or 'reference'"
@@ -340,18 +342,16 @@ def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = N
                 f"vectorized engine cannot simulate {type(predictor).__name__}; "
                 "use engine='reference' or 'auto'"
             )
-        from .backend import compiled_stream  # lazy: backend imports predictors
-
         compiled = compiled_stream(predictor, backend)
         return compiled if compiled is not None else _ReferenceStream(predictor)
     if supports_batched(predictor):
-        return _OneConfig(predictor)
+        return _OneConfig(predictor, backend)
     if isinstance(predictor, AgreePredictor):
         return _AgreeStream(predictor)
     if isinstance(predictor, TournamentPredictor):
-        return _TournamentStream(predictor)
+        return _TournamentStream(predictor, backend)
     if isinstance(predictor, ClassRoutedHybrid):
-        return _HybridStream(predictor)
+        return _HybridStream(predictor, backend)
     return _StaticStream(predictor)
 
 
@@ -374,8 +374,8 @@ def simulate_stream(
     :class:`~repro.spec.PredictorSpec`; chunks are
     :class:`~repro.trace.stream.Trace` objects (e.g. a
     :class:`~repro.trace.io.TraceReader`) or ``(pcs, outcomes)`` pairs.
-    ``backend`` picks the compiled-kernel implementation for the
-    reference-path families (see :mod:`repro.engine.backend`).
+    ``backend`` picks the kernels of the two-level carrier and the
+    compiled per-record families (see :mod:`repro.engine.backend`).
     """
     from ..spec import build_predictor  # lazy: spec imports engine
 

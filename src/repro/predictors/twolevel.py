@@ -19,6 +19,7 @@ functions below instantiate the named family members:
 from __future__ import annotations
 
 from ..errors import PredictorError
+from ..spec import MAX_HISTORY_BITS
 from .base import BranchPredictor
 from .counter import CounterTable
 from .history import BranchHistoryTable, HistoryRegister
@@ -76,8 +77,10 @@ class TwoLevelPredictor(BranchPredictor):
             raise PredictorError(f"history_kind must be one of {_HISTORY_KINDS}")
         if index_scheme not in _INDEX_SCHEMES:
             raise PredictorError(f"index_scheme must be one of {_INDEX_SCHEMES}")
-        if history_bits < 0:
-            raise PredictorError("history_bits must be >= 0")
+        if not 0 <= history_bits <= MAX_HISTORY_BITS:
+            raise PredictorError(
+                f"history_bits must be in [0, {MAX_HISTORY_BITS}], got {history_bits}"
+            )
         if pht_index_bits < 1:
             raise PredictorError("pht_index_bits must be >= 1")
         if index_scheme == "concat" and history_bits > pht_index_bits:

@@ -19,10 +19,12 @@ frozen :class:`~repro.spec.PredictorSpec` descriptions) and the session
    invocation;
 2. **plans** — jobs on the same trace whose specs belong to the
    two-level family are grouped into a *single*
-   :func:`~repro.engine.simulate_batched` invocation (shared history
-   windows, one PC encoding, stacked scans), while the remaining specs
-   route to the vectorized engine when supported and the reference
-   engine otherwise;
+   :func:`~repro.engine.simulate_batched` invocation (one
+   multi-configuration carrier), while the remaining specs route to
+   the vectorized engine when supported and otherwise to the engine's
+   ``auto`` route: the family's compiled per-record kernel when it has
+   one (YAGS, bi-mode, filter, DHLF), else the stateful predictor
+   stepped record by record;
 3. **memoizes** — results are cached for the lifetime of the session,
    so resubmitting a job after :meth:`Session.run` costs nothing.
 
@@ -36,8 +38,8 @@ whole *service jobs* by request content, so concurrent identical
 requests share one computation exactly as duplicate session jobs
 share one engine invocation here.
 
-Every routing decision preserves bit-exactness: the batched, vectorized
-and reference engines produce identical
+Every routing decision preserves bit-exactness: the batched, vectorized,
+compiled and reference paths produce identical
 :class:`~repro.engine.results.SimulationResult` objects for the
 predictors they share, so the planner is free to pick the fastest.
 
@@ -187,6 +189,8 @@ class PlannedBatch:
 
     ``engine == "batched"`` means all entries run in a *single*
     multi-configuration pass; other engines run one entry at a time.
+    ``"auto"`` here is the engine's own route for families without an
+    array carrier: their compiled kernel, else the stateful predictor.
     """
 
     engine: str
@@ -272,13 +276,15 @@ class Session:
     engine:
         Default engine request for submitted jobs.  ``"auto"`` lets the
         planner choose (batched for two-level-family specs, vectorized
-        when supported, reference otherwise); ``"batched"``,
+        when supported, the engine's own ``auto`` route otherwise —
+        compiled kernels where the family has them); ``"batched"``,
         ``"vectorized"`` and ``"reference"`` force that engine.
     max_chunk_elements:
-        Memory bound forwarded to the batched engine.
+        Memory bound forwarded to the batched engine's ``python``
+        backend.
     backend:
-        Compiled-kernel backend for reference-path families
-        (``auto``/``python``/``cext``; see
+        Kernel backend of the two-level carrier and the compiled
+        per-record families (``auto``/``python``/``cext``; see
         :mod:`repro.engine.backend`).  ``None`` defers to
         ``REPRO_ENGINE_BACKEND``.  Backends are bit-identical, so the
         session memo is unaffected by this choice.
@@ -399,7 +405,10 @@ class Session:
         if job.engine == "auto":
             if batchable_spec(job.spec):
                 return "batched"
-            return "vectorized" if vectorizable_spec(job.spec) else "reference"
+            # The rest take the engine's own auto route: a compiled
+            # kernel where the family has one, else the stateful
+            # predictor.  Only an explicit "reference" runs the oracle.
+            return "vectorized" if vectorizable_spec(job.spec) else "auto"
         if job.engine == "batched":
             check_batched(job.spec.build())
         return job.engine
@@ -468,6 +477,7 @@ class Session:
                         [entry.spec.build() for entry in fresh],
                         streamed.chunks(),
                         max_chunk_elements=self.max_chunk_elements,
+                        backend=self.backend,
                         trace_name=streamed.name,
                     )
                     for entry, result in zip(fresh, results):
@@ -487,6 +497,7 @@ class Session:
                     [entry.spec.build() for entry in fresh],
                     batch.trace,
                     max_chunk_elements=self.max_chunk_elements,
+                    backend=self.backend,
                 )
                 for entry, result in zip(fresh, results):
                     self._memo[(slot, entry.spec, batch.engine)] = result

@@ -58,6 +58,11 @@ __all__ = [
 
 _REGISTRY: dict[str, type["PredictorSpec"]] = {}
 
+#: Longest two-level history register.  The reference BHT rows are
+#: uint32, and the compiled sweep kernel's int64 index arithmetic
+#: relies on the bound.
+MAX_HISTORY_BITS = 32
+
 
 def _register(cls: type["PredictorSpec"]) -> type["PredictorSpec"]:
     """Class decorator: enter ``cls`` into the kind-keyed registry."""
@@ -330,8 +335,10 @@ class TwoLevelSpec(PredictorSpec):
             raise ConfigurationError(
                 f"index_scheme must be 'concat' or 'xor', got {self.index_scheme!r}"
             )
-        if self.history_bits < 0:
-            raise ConfigurationError("history_bits must be >= 0")
+        if not 0 <= self.history_bits <= MAX_HISTORY_BITS:
+            raise ConfigurationError(
+                f"history_bits must be in [0, {MAX_HISTORY_BITS}], got {self.history_bits}"
+            )
         if self.pht_index_bits < 1:
             raise ConfigurationError("pht_index_bits must be >= 1")
         if self.index_scheme == "concat" and self.history_bits > self.pht_index_bits:

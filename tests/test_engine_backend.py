@@ -21,6 +21,8 @@ from repro.engine.backend import (
     resolve_backend,
     supports_compiled,
 )
+from repro.engine.batched import BatchedStream
+from repro.engine.compiled import cext
 from repro.engine.streaming import stream_simulator
 from repro.errors import ConfigurationError
 from repro.session import Session
@@ -245,3 +247,113 @@ class TestSessionAndCliPlumbing:
             )
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+# -- the ctypes boundary ---------------------------------------------------------
+
+CEXT_USABLE = backend_availability()["cext"][0]
+
+#: One geometry per C kernel; ``sweep_step`` runs a PAs and a GAs.
+KERNEL_SPECS = {
+    "yags_step": FAMILY_SPECS["yags-small"],
+    "bimode_step": FAMILY_SPECS["bimode-small"],
+    "filter_step": FAMILY_SPECS["filter"],
+    "dhlf_step": FAMILY_SPECS["dhlf-small"],
+    "sweep_step": (TwoLevelSpec.pas(3), TwoLevelSpec.gas(5)),
+}
+
+
+def cext_call(name):
+    """``(kernel, regs, params, state, prediction rows)`` of a fresh
+    ``cext`` carrier for the named C kernel."""
+    if name == "sweep_step":
+        predictors = [spec.build() for spec in KERNEL_SPECS[name]]
+        kernel = BatchedStream(predictors, backend="cext")._kernel
+        return kernel.step, kernel.regs, kernel.params, (kernel.pht, kernel.bht), 2
+    stream = compiled_stream(KERNEL_SPECS[name].build(), "cext")
+    return stream.kernel, stream.regs, stream.params, stream.state, 1
+
+
+BAD_CASES = (
+    "int32-pcs",
+    "strided-pcs",
+    "short-predictions",
+    "short-outcomes",
+    "read-only-predictions",
+)
+
+
+def bad_arrays(case, rows, n=64):
+    """``(pcs, outcomes, predictions)`` with one defect."""
+    pcs = np.arange(n, dtype=np.int64) * 4 + 0x4000
+    outcomes = (np.arange(n) % 3 == 0).astype(np.uint8)
+    predictions = np.empty(rows * n, dtype=np.uint8)
+    if case == "int32-pcs":
+        pcs = pcs.astype(np.int32)
+    elif case == "strided-pcs":
+        pcs = np.repeat(pcs, 2)[::2]
+    elif case == "short-predictions":
+        predictions = predictions[:-1]
+    elif case == "short-outcomes":
+        outcomes = outcomes[:-1]
+    elif case == "read-only-predictions":
+        predictions.setflags(write=False)
+    return pcs, outcomes, predictions
+
+
+@pytest.mark.skipif(not CEXT_USABLE, reason="no C compiler on this host")
+class TestCtypesBoundary:
+    """A bad array raises ConfigurationError and never reaches C."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+    def test_good_arrays_pass(self, name):
+        kernel, regs, params, state, rows = cext_call(name)
+        pcs, outcomes, predictions = bad_arrays("none", rows)
+        kernel(pcs, outcomes, predictions, regs, params, *state)
+
+    @pytest.mark.parametrize("case", BAD_CASES)
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+    def test_bad_arrays_rejected(self, name, case):
+        kernel, regs, params, state, rows = cext_call(name)
+        pcs, outcomes, predictions = bad_arrays(case, rows)
+        before = [table.copy() for table in state]
+        with pytest.raises(ConfigurationError, match=name):
+            kernel(pcs, outcomes, predictions, regs, params, *state)
+        assert all(np.array_equal(a, b) for a, b in zip(before, state))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+    def test_wrong_state_dtype_or_count_rejected(self, name):
+        kernel, regs, params, state, rows = cext_call(name)
+        pcs, outcomes, predictions = bad_arrays("none", rows)
+        widened = (state[0].astype(np.float64),) + tuple(state[1:])
+        with pytest.raises(ConfigurationError, match=name):
+            kernel(pcs, outcomes, predictions, regs, params, *widened)
+        with pytest.raises(ConfigurationError, match=name):
+            kernel(pcs, outcomes, predictions, regs, params, *state[:-1])
+
+    def test_sweep_layout_must_match_its_rows(self):
+        kernel, regs, params, state, rows = cext_call("sweep_step")
+        pcs, outcomes, predictions = bad_arrays("none", rows)
+        with pytest.raises(ConfigurationError, match="sweep_step"):
+            kernel(pcs, outcomes, predictions, regs[:1].copy(), params, *state)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            (1, 33),  # history wider than 32 bits
+            (2, 63),  # PHT index wider than 62 bits
+            (4, 1 << 20),  # PHT offset past the table
+            (5, 1 << 20),  # BHT offset past the rows
+            (6, 1 << 20),  # BHT mask past the rows
+            (7, 9),  # counters wider than 8 bits
+        ],
+    )
+    def test_sweep_tables_checked_when_built(self, column, value):
+        _, regs, params, (pht, bht), _ = cext_call("sweep_step")
+        cext.check_sweep_tables(params, regs, pht, bht)
+        bad = params.copy()
+        bad[1 + column] = value  # the first configuration is the PAs
+        with pytest.raises(ConfigurationError, match="out of bounds"):
+            cext.check_sweep_tables(bad, regs, pht, bht)
+        with pytest.raises(ConfigurationError, match="disagree"):
+            cext.check_sweep_tables(params, regs[:1], pht, bht)

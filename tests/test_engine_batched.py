@@ -5,6 +5,8 @@ engine for every configuration in the batch, across stack sizes, chunk
 splits, geometry mixes and deduplicated configurations.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.engine import (
     stream_simulator,
     supports_batched,
 )
+from repro.engine.backend import backend_availability
 from repro.engine.batched import (
     BatchedStream,
     _Carried,
@@ -49,6 +52,11 @@ from repro.predictors import (
     paper_predictor,
 )
 from repro.trace import Trace
+
+
+#: The two-level carrier's paths on this host: numpy scans and, with a
+#: C compiler, the sweep kernel.
+BACKENDS = [name for name, (usable, _) in backend_availability().items() if usable]
 
 
 def random_trace(seed, n, num_pcs, bias=0.5):
@@ -91,10 +99,11 @@ def reference_predictions(predictor, trace):
 
 
 class TestPredictionsBatched:
-    def test_matches_reference_per_config(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_reference_per_config(self, backend):
         trace = random_trace(1, 3000, 40)
         predictors = mixed_predictors()
-        batched = predictions_batched(predictors, trace)
+        batched = predictions_batched(predictors, trace, backend=backend)
         for predictor, predictions in zip(predictors, batched):
             assert np.array_equal(predictions, reference_predictions(predictor, trace))
 
@@ -106,10 +115,11 @@ class TestPredictionsBatched:
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 
-    def test_duplicate_configs_share_one_simulation(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duplicate_configs_share_one_simulation(self, backend):
         trace = random_trace(3, 1500, 20)
         predictors = [paper_predictor("pas", 0), paper_predictor("gas", 0)]
-        a, b = predictions_batched(predictors, trace)
+        a, b = predictions_batched(predictors, trace, backend=backend)
         # PAs-h0 and GAs-h0 are the same machine; the engine dedupes
         # them into one simulation, and both views must agree.
         assert a is b
@@ -241,25 +251,47 @@ class TestBatchedEngineRequests:
             assert np.array_equal(result.mispredictions, expected.mispredictions)
 
 
-@settings(max_examples=20, deadline=None)
+@st.composite
+def geometries(draw):
+    """Any two-level geometry a spec accepts, with tables kept small."""
+    scheme = draw(st.sampled_from(("concat", "xor")))
+    pht_index_bits = draw(st.integers(1, 12))
+    return TwoLevelSpec(
+        history_kind=draw(st.sampled_from(("global", "per-address"))),
+        # Concatenation fits the history inside the PHT index.
+        history_bits=draw(st.integers(0, 32 if scheme == "xor" else pht_index_bits)),
+        pht_index_bits=pht_index_bits,
+        index_scheme=scheme,
+        bht_entries=1 << draw(st.integers(0, 10)),
+        counter_bits=draw(st.integers(1, 8)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
 @given(
+    specs=st.lists(geometries(), min_size=1, max_size=4),
     seed=st.integers(0, 10_000),
     n=st.integers(1, 400),
     num_pcs=st.integers(1, 40),
     chunk=st.integers(64, 4096),
     split=st.integers(1, 400),
 )
-def test_batched_sweep_property(seed, n, num_pcs, chunk, split):
-    """Random traces, stack sizes and chunk splits: batched == reference."""
+def test_batched_sweep_property(specs, seed, n, num_pcs, chunk, split):
+    """Random geometries beside paper configurations, random traces,
+    stack sizes and chunk splits: every backend == reference, per PC."""
     trace = random_trace(seed, n, num_pcs)
     predictors = [paper_predictor(kind, k) for kind in ("pas", "gas") for k in (0, 1, 3, 8)]
-    chunks = (trace[start : start + split] for start in range(0, n, split))
-    results = simulate_batched_stream(predictors, chunks, max_chunk_elements=chunk)
-    for predictor, result in zip(predictors, results):
-        expected = simulate_reference(predictor, trace)
-        assert np.array_equal(result.pcs, expected.pcs)
-        assert np.array_equal(result.executions, expected.executions)
-        assert np.array_equal(result.mispredictions, expected.mispredictions)
+    predictors += [spec.build() for spec in specs]
+    expected = [simulate_reference(predictor, trace) for predictor in predictors]
+    for backend in BACKENDS:
+        chunks = (trace[start : start + split] for start in range(0, n, split))
+        results = simulate_batched_stream(
+            predictors, chunks, max_chunk_elements=chunk, backend=backend
+        )
+        for want, result in zip(expected, results):
+            assert np.array_equal(result.pcs, want.pcs)
+            assert np.array_equal(result.executions, want.executions)
+            assert np.array_equal(result.mispredictions, want.mispredictions), backend
 
 
 def shift_register_windows(outcomes, bits, value=0):
@@ -341,11 +373,46 @@ class TestCarriedTable:
         # An in-memory simulation is one chunk: it must not allocate a
         # table sized for every PHT entry of every configuration.
         trace = random_trace(15, 500, 20)
-        stream = BatchedStream([paper_predictor(kind, 12) for kind in ("pas", "gas")])
+        predictors = [paper_predictor(kind, 12) for kind in ("pas", "gas")]
+        stream = BatchedStream(predictors, backend="python")
         stream.feed(trace.pcs, trace.outcomes)
         assert stream._pht._table is None
         stream.feed(trace.pcs, trace.outcomes)
         assert stream._pht._table is not None
+
+
+class TestBackendPaths:
+    """How a carrier picks its path, and what it keeps."""
+
+    def test_backend_is_resolved_once_when_built(self, monkeypatch):
+        trace = random_trace(17, 300, 20)
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "python")
+        stream = BatchedStream([paper_predictor("gas", 4)])
+        assert stream.backend == "python"
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "auto")
+        stream.feed(trace.pcs, trace.outcomes)
+        assert stream.backend == "python" and stream._kernel is None
+        # An explicit argument beats the environment.
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "cext")
+        assert BatchedStream([], backend="python").backend == "python"
+
+    @pytest.mark.skipif("cext" not in BACKENDS, reason="no C compiler on this host")
+    def test_auto_takes_the_kernel(self):
+        assert BatchedStream([paper_predictor("pas", 4)], backend="auto").backend == "cext"
+
+    @pytest.mark.skipif("cext" not in BACKENDS, reason="no C compiler on this host")
+    def test_kernel_state_dies_with_the_carrier(self):
+        # No reference cycle keeps the dense tables alive: dropping the
+        # last reference frees them without a garbage-collector pass.
+        trace = random_trace(18, 300, 20)
+        stream = BatchedStream(
+            [paper_predictor(kind, k) for kind in ("pas", "gas") for k in (0, 5)], backend="cext"
+        )
+        stream.feed(trace.pcs, trace.outcomes)
+        kernel = stream._kernel
+        tables = [weakref.ref(table) for table in (kernel.pht, kernel.bht, kernel.regs)]
+        del stream, kernel
+        assert all(table() is None for table in tables)
 
 
 SWEEP_SPECS = [
@@ -366,43 +433,50 @@ def assert_matches_reference(specs, results, trace):
         assert np.array_equal(result.mispredictions, expected.mispredictions)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchedStreamSplits:
     """The carrier resumes every configuration at any chunk boundary:
-    one-record chunks, odd splits and the whole trace as one chunk."""
+    one-record chunks, odd splits and the whole trace as one chunk, on
+    every backend."""
 
     TRACE = random_trace(16, 3000, 90, bias=0.7)
 
     @pytest.mark.parametrize("chunk_len", (1, 7, 997, 1 << 20))
-    def test_matches_reference(self, chunk_len):
+    def test_matches_reference(self, backend, chunk_len):
         results = simulate_batched_stream(
-            [spec.build() for spec in SWEEP_SPECS], chunks_of(self.TRACE, chunk_len)
+            [spec.build() for spec in SWEEP_SPECS],
+            chunks_of(self.TRACE, chunk_len),
+            backend=backend,
         )
         assert_matches_reference(SWEEP_SPECS, results, self.TRACE)
 
-    def test_small_budget_splits_the_stack_within_chunks(self):
+    def test_small_budget_splits_the_stack_within_chunks(self, backend):
         results = simulate_batched_stream(
             [spec.build() for spec in SWEEP_SPECS],
             chunks_of(self.TRACE, 997),
             max_chunk_elements=1 << 11,
+            backend=backend,
         )
         assert_matches_reference(SWEEP_SPECS, results, self.TRACE)
 
     @pytest.mark.parametrize("chunk_len", (7, 997))
-    def test_wide_counters_resume(self, chunk_len):
+    def test_wide_counters_resume(self, backend, chunk_len):
         # 4-bit counters take the arithmetic scan, not the tabled one.
         specs = [TwoLevelSpec(history_bits=4, counter_bits=4)]
         results = simulate_batched_stream(
-            [spec.build() for spec in specs], chunks_of(self.TRACE, chunk_len)
+            [spec.build() for spec in specs], chunks_of(self.TRACE, chunk_len), backend=backend
         )
         assert_matches_reference(specs, results, self.TRACE)
 
-    def test_empty_stream(self):
-        results = simulate_batched_stream([spec.build() for spec in SWEEP_SPECS], iter(()))
+    def test_empty_stream(self, backend):
+        results = simulate_batched_stream(
+            [spec.build() for spec in SWEEP_SPECS], iter(()), backend=backend
+        )
         assert [r.predictor_name for r in results] == [s.build().name for s in SWEEP_SPECS]
         assert all(r.total_executions == 0 and len(r.pcs) == 0 for r in results)
 
-    def test_sweep_without_configurations(self):
-        sweep = simulate_sweep_stream([self.TRACE], kinds=(), trace_name="none")
+    def test_sweep_without_configurations(self, backend):
+        sweep = simulate_sweep_stream([self.TRACE], kinds=(), trace_name="none", backend=backend)
         assert sweep.keys() == []
         assert sweep.trace_name == "none"
         assert len(sweep.pcs) == 0

@@ -1,7 +1,9 @@
 """Tests for repro.predictors.twolevel and paper_configs."""
 
+import numpy as np
 import pytest
 
+from repro.engine import backend_availability, simulate, simulate_reference
 from repro.errors import ConfigurationError, PredictorError
 from repro.predictors import (
     BUDGET_BYTES,
@@ -16,6 +18,8 @@ from repro.predictors import (
     paper_predictor,
     pas_bht_entries,
 )
+from repro.spec import TwoLevelSpec
+from repro.trace import Trace
 
 
 class TestTwoLevelConstruction:
@@ -40,6 +44,41 @@ class TestTwoLevelConstruction:
     def test_negative_history(self):
         with pytest.raises(PredictorError):
             TwoLevelPredictor(history_kind="global", history_bits=-1, pht_index_bits=4)
+
+
+class TestHistoryBound:
+    """Histories are at most 32 bits: the oracle's BHT rows are uint32
+    and the compiled sweep kernel's int64 arithmetic relies on it."""
+
+    @staticmethod
+    def geometry(history_kind, history_bits):
+        return dict(
+            history_kind=history_kind,
+            history_bits=history_bits,
+            pht_index_bits=8,
+            index_scheme="xor",
+            bht_entries=16,
+        )
+
+    @pytest.mark.parametrize("history_kind", ["global", "per-address"])
+    @pytest.mark.parametrize("history_bits", [33, 64])
+    def test_wider_histories_rejected(self, history_kind, history_bits):
+        with pytest.raises(ConfigurationError, match="history_bits"):
+            TwoLevelSpec(**self.geometry(history_kind, history_bits))
+        with pytest.raises(PredictorError, match="history_bits"):
+            TwoLevelPredictor(**self.geometry(history_kind, history_bits))
+
+    @pytest.mark.parametrize("history_kind", ["global", "per-address"])
+    def test_32_bits_run_alike_on_every_path(self, history_kind):
+        rng = np.random.default_rng(32)
+        pcs = rng.integers(0, 50, 2000) * 4 + 0x1000
+        trace = Trace(pcs, (rng.random(2000) < 0.7).astype(np.uint8), name="h32")
+        spec = TwoLevelSpec(**self.geometry(history_kind, 32))
+        expected = simulate_reference(spec.build(), trace)
+        for backend, (usable, _) in backend_availability().items():
+            if usable:
+                result = simulate(spec, trace, backend=backend)
+                assert np.array_equal(result.mispredictions, expected.mispredictions)
 
 
 class TestIndexArithmetic:

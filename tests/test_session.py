@@ -66,7 +66,9 @@ class TestPlanning:
         session.submit(trace, YagsSpec(history_bits=5, cache_index_bits=5, choice_index_bits=6))
         plan = session.plan()
         engines = {b.engine: len(b.entries) for b in plan.batches}
-        assert engines == {"batched": 2, "vectorized": 1, "reference": 1}
+        # YAGS takes the engine's auto route (its compiled kernel), not
+        # the oracle.
+        assert engines == {"batched": 2, "vectorized": 1, "auto": 1}
 
     def test_jobs_grouped_per_trace(self):
         t1, t2 = random_trace(seed=1, name="a"), random_trace(seed=2, name="b")
@@ -170,13 +172,48 @@ class TestExecution:
         ref = Session(engine="reference").simulate(trace, spec)
         assert np.array_equal(vec.mispredictions, ref.mispredictions)
 
-    def test_unsupported_spec_falls_back_to_reference(self):
+    def test_per_record_family_takes_the_engine_auto_route(self):
         trace = random_trace(n=300)
         session = Session()
         job = session.submit(trace, DhlfSpec(pht_index_bits=7, interval=64))
-        assert session.plan().batches[0].engine == "reference"
+        assert session.plan().batches[0].engine == "auto"
         result = session.run()[job]
         assert result.total_executions == 300
+        expected = simulate_reference(DhlfSpec(pht_index_bits=7, interval=64).build(), trace)
+        assert np.array_equal(result.mispredictions, expected.mispredictions)
+
+    @pytest.mark.parametrize("spec", [YagsSpec(), DhlfSpec(pht_index_bits=7, interval=64)])
+    def test_session_backend_reaches_the_compiled_kernels(self, monkeypatch, spec):
+        # Regression: auto-routed per-record families used to run the
+        # stateful predictor, so Session(backend=...) had no effect.
+        from repro.engine import streaming
+
+        requested = []
+        compiled_stream = streaming.compiled_stream
+
+        def spy(predictor, backend=None):
+            requested.append(backend)
+            return compiled_stream(predictor, backend)
+
+        monkeypatch.setattr(streaming, "compiled_stream", spy)
+        trace = random_trace(n=300)
+        result = Session(backend="python").simulate(trace, spec)
+        assert requested == ["python"]
+        expected = simulate_reference(spec.build(), trace)
+        assert np.array_equal(result.mispredictions, expected.mispredictions)
+
+    def test_explicit_reference_still_runs_the_oracle(self, monkeypatch):
+        from repro.engine import streaming
+
+        def refuse(predictor, backend=None):
+            raise AssertionError("the oracle must not take a compiled kernel")
+
+        monkeypatch.setattr(streaming, "compiled_stream", refuse)
+        trace = random_trace(n=300)
+        session = Session(engine="reference")
+        job = session.submit(trace, YagsSpec())
+        assert session.plan().batches[0].engine == "reference"
+        assert session.run()[job].total_executions == 300
 
 
 class TestContentDedupe:
