@@ -4,12 +4,17 @@
 fresh store — the full price of one reproduction.  ``warm`` repeats the
 run against the populated store, measuring pure pipeline overhead
 (planning, cache probing, loading the 17 render leaves): the
-reuse-over-recompute headroom the DAG buys.
+reuse-over-recompute headroom the DAG buys.  ``suite_traces_store``
+times the store layer alone on the root artifact every cold pass
+writes: one put and one get of the spec95 suite's traces.
 """
 
+import numpy as np
 from conftest import BENCH_INPUTS, BENCH_SCALE
 
 from repro.experiments import ExperimentContext, all_experiment_ids
+from repro.pipeline import ArtifactStore, PipelineConfig
+from repro.pipeline.artifacts import WorkloadNode, node_digest
 
 
 def _run_all(cache_dir) -> None:
@@ -31,3 +36,27 @@ def test_run_all_warm(benchmark, tmp_path_factory):
     store_dir = tmp_path_factory.mktemp("pipeline-warm")
     _run_all(store_dir)  # populate once
     benchmark(_run_all, store_dir)
+
+
+def test_suite_traces_store(benchmark, tmp_path_factory):
+    """Encode, deflate and write the suite traces into a fresh store,
+    then read and decode them in a new store object."""
+    config = PipelineConfig(inputs=BENCH_INPUTS, scale=BENCH_SCALE)
+    node = WorkloadNode("traces")
+    traces = node.compute(config, {})
+    digest = node_digest(node, config, [])
+
+    def put_and_get(root):
+        ArtifactStore(root).put(digest, node, traces, config)
+        return ArtifactStore(root).get(digest, node), root
+
+    def fresh_store():
+        return (tmp_path_factory.mktemp("traces-store"),), {}
+
+    decoded, root = benchmark.pedantic(put_and_get, setup=fresh_store, rounds=5, iterations=1)
+    assert [t.name for t in decoded] == [t.name for t in traces]
+    for got, want in zip(decoded, traces):
+        assert np.array_equal(got.pcs, want.pcs)
+        assert np.array_equal(got.outcomes, want.outcomes)
+    benchmark.extra_info["records"] = sum(len(t) for t in traces)
+    benchmark.extra_info["stored_bytes"] = ArtifactStore(root).object_path(digest).stat().st_size

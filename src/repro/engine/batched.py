@@ -15,7 +15,10 @@ picks one of two paths:
 * ``cext`` — the C ``sweep_step`` kernel
   (:mod:`repro.engine.compiled.cext`) steps every unique configuration
   over the chunk: its PHT counters, its global history register or BHT
-  rows, and one row of predictions each.
+  rows, and one row of predictions each.  Simulations call its twin
+  ``sweep_count``, which adds each step's miss to its branch's column
+  of a ``(configurations × branches)`` matrix instead of writing the
+  prediction.
 * ``python`` — numpy, for hosts without a C compiler.  Three
   structural facts make a chunk cheap:
 
@@ -60,7 +63,7 @@ from ..predictors.twolevel import TwoLevelPredictor
 from ..trace.stream import Trace
 from .backend import resolve_backend
 from .compiled import cext
-from .results import SimulationResult, _attribute_chunks
+from .results import SimulationResult, _attribute_chunks, count_misses
 from .scan import segmented_saturating_scan, stable_key_order
 
 __all__ = [
@@ -377,7 +380,9 @@ def _zeroed(count: int, dtype) -> np.ndarray:
 
 class _SweepKernel:
     """Dense state of every unique configuration, advanced one chunk
-    per call by the C ``sweep_step`` kernel.
+    per call by the C ``sweep_step`` kernel, or by ``sweep_count``,
+    which counts each configuration's misses per branch as it steps
+    instead of writing predictions.
 
     Each configuration owns its PHT, its global register (one slot of
     ``regs``) and, for per-address history, its BHT rows, all at its
@@ -390,10 +395,11 @@ class _SweepKernel:
     as zeros, each on its own anonymous memory map (:func:`_zeroed`).
     """
 
-    __slots__ = ("step", "params", "regs", "pht", "bht")
+    __slots__ = ("step", "count", "params", "regs", "pht", "bht")
 
-    def __init__(self, unique: list[_Spec], step) -> None:
-        self.step = step
+    def __init__(self, unique: list[_Spec], kernels) -> None:
+        self.step = kernels["sweep_step"]
+        self.count = kernels["sweep_count"]
         params = [len(unique)]
         pht_size = bht_size = 0
         for s in unique:
@@ -431,18 +437,39 @@ class _SweepKernel:
         )
         return predictions
 
+    def misses(
+        self, pcs: np.ndarray, outcomes: np.ndarray, ids: np.ndarray, width: int
+    ) -> np.ndarray:
+        """Misses of every configuration for one chunk, one row each,
+        per branch id (``width`` columns)."""
+        misses = np.zeros((len(self.regs), width), dtype=np.int64)
+        self.count(
+            np.ascontiguousarray(pcs, dtype=np.int64),
+            np.ascontiguousarray(outcomes, dtype=np.uint8),
+            ids,
+            misses,
+            self.regs,
+            self.params,
+            self.pht,
+            self.bht,
+        )
+        return misses
+
 
 class BatchedStream:
     """The multi-configuration carrier of the two-level family.
 
     Identical geometries, such as the paper's PAs-h0 and GAs-h0, are
-    simulated once and share one prediction array.  ``backend``
+    simulated once and share one prediction array, or one row of
+    counted misses.  ``backend``
     (:func:`~repro.engine.backend.resolve_backend`, resolved once, here)
     picks how the unique configurations advance:
 
     ``cext``
         The C ``sweep_step`` kernel steps every configuration over the
-        chunk (:class:`_SweepKernel`).
+        chunk (:class:`_SweepKernel`); :meth:`misses` has its twin
+        ``sweep_count`` count the misses as it steps, so no prediction
+        array is written.
     ``python``
         Numpy: one global-history window, one per-BHT-geometry window
         and stacked counter scans shared across the batch.  Carried
@@ -483,7 +510,7 @@ class BatchedStream:
         self.backend = resolve_backend(backend)
         self._kernel = None
         if self.backend == "cext":
-            self._kernel = _SweepKernel(self._unique, cext.load()["sweep_step"])
+            self._kernel = _SweepKernel(self._unique, cext.load())
             return
 
         # Shared carried history state: global at the longest global
@@ -512,6 +539,21 @@ class BatchedStream:
         else:
             unique_predictions = self._scan(pcs, outcomes)
         return [unique_predictions[slot] for slot in self._slot_of_spec]
+
+    def misses(
+        self, pcs: np.ndarray, outcomes: np.ndarray, ids: np.ndarray, width: int
+    ) -> np.ndarray:
+        """Per-branch misses of every predictor for one chunk, advancing
+        all carried state past it: a ``(predictors × width)`` matrix
+        whose column ``j`` counts the steps with ``ids == j`` (the
+        ``count`` of :func:`~repro.engine.results._attribute_chunks`)."""
+        if len(pcs) == 0:
+            return np.zeros((len(self._slot_of_spec), width), dtype=np.int64)
+        if self._kernel is not None:
+            unique_misses = self._kernel.misses(pcs, outcomes, ids, width)
+        else:
+            unique_misses = count_misses(self._scan(pcs, outcomes), outcomes, ids, width)
+        return unique_misses[self._slot_of_spec]
 
     def _scan(self, pcs: np.ndarray, outcomes: np.ndarray) -> list[np.ndarray]:
         """The ``python`` path: predictions of every unique configuration."""
@@ -647,7 +689,7 @@ def simulate_batched_stream(
     """
     predictors = list(predictors)
     carrier = BatchedStream(predictors, max_chunk_elements=max_chunk_elements, backend=backend)
-    return _attribute_chunks(carrier.feed, predictors, chunks, trace_name)
+    return _attribute_chunks(carrier.misses, predictors, chunks, trace_name)
 
 
 class BatchedSweepResult:

@@ -2,23 +2,29 @@
 
 No third-party dependency and no build at install time: the first use
 compiles the embedded C source with the system compiler (``$CC``,
-``cc``, ``gcc`` or ``clang``) into a content-addressed shared object
-under ``REPRO_CEXT_CACHE`` (default ``~/.cache/repro/cext``) and loads
-it through :mod:`ctypes`.  Rebuilds happen only when the source
-changes (the file name embeds the source hash).  Any failure —
-no compiler, sandboxed tmpdir, unloadable object — marks the backend
-unavailable and the caller falls back; nothing raises at import time.
+``cc``, ``gcc`` or ``clang``) into a shared object under
+``REPRO_CEXT_CACHE`` (default ``~/.cache/repro/cext``) and loads it
+through :mod:`ctypes`.  The file name keys the source, the compiler,
+the flags and the machine (:func:`_library_name`), so a rebuild
+happens exactly when one of them changes.  A loaded library must pass
+a smoke call (:func:`_smoke`) before it is used.  Any failure — no
+compiler, sandboxed tmpdir, unloadable object, a wrong smoke answer —
+marks the backend unavailable and the caller falls back; nothing
+raises at import time.
 
 The per-record C functions are line-for-line transliterations of the
 Python kernels; both are pinned bit-identical to the reference
-predictors by ``tests/test_engine_backend.py``.  ``sweep_step`` has no
-Python twin: it advances every configuration of the two-level carrier
-over one chunk, and the carrier's numpy path is what it is tested
+predictors by ``tests/test_engine_backend.py``.  ``sweep_step`` and
+``sweep_count`` have no Python twin: they advance every configuration
+of the two-level carrier over one chunk, the first writing each
+configuration's predictions, the second adding each configuration's
+misses per branch; the carrier's numpy path is what they are tested
 against (``tests/test_engine_batched.py``).
 
 Every call is checked before it reaches C: each array must have its
 parameter's dtype and be C-contiguous (and writeable where C writes),
-and ``outcomes`` and ``predictions`` must fit ``len(pcs)``.  A bad
+``outcomes`` and ``predictions`` must fit ``len(pcs)``, and every
+branch id of ``sweep_count`` must index inside its miss matrix.  A bad
 array raises :class:`~repro.errors.ConfigurationError`.  The sweep's
 table layout is checked once, when its carrier is built
 (:func:`check_sweep_tables`).
@@ -29,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -210,14 +217,17 @@ EXPORT void dhlf_step(
     }
 }
 
-/* One two-level configuration over the chunk.  The history kind and
-   index scheme are constants at every call site, so each of the four
-   inlined copies loses its branches.  The table holds each counter
-   XOR its reset value, so a fresh table is all zeros. */
+/* One two-level configuration over the chunk.  The history kind, the
+   index scheme and `count` are constants at every call site, so each
+   of the eight inlined copies loses its branches.  Each step writes
+   its prediction to `out`, or, with `count`, adds its miss to its
+   branch's slot of `misses` (`ids` numbers the branches).  The table
+   holds each counter XOR its reset value, so a fresh table is all
+   zeros. */
 static inline __attribute__((always_inline)) void sweep_config(
     int64_t n, const int64_t *pcs, const uint8_t *outcomes, uint8_t *out,
-    int64_t *ghr, uint8_t *table, int64_t *rows, const int64_t *p,
-    const int per_address, const int xor_index)
+    const int64_t *ids, int64_t *misses, int64_t *ghr, uint8_t *table, int64_t *rows,
+    const int64_t *p, const int per_address, const int xor_index, const int count)
 {
     const int64_t history_bits = p[1], pht_bits = p[2];
     const int64_t bht_mask = p[6], counter_bits = p[7];
@@ -237,7 +247,9 @@ static inline __attribute__((always_inline)) void sweep_config(
             ? (h ^ pc) & pht_mask
             : ((h << fill) | (pc & fill_mask)) & pht_mask;
         const uint8_t v = table[index] ^ reset;
-        out[i] = v >= threshold;
+        const int64_t predicted = v >= threshold;
+        if (count) misses[ids[i]] += predicted != taken;
+        else out[i] = (uint8_t)predicted;
         /* Branchless: the outcome is exactly what the host's own
            branch predictor would have to guess. */
         table[index] = (uint8_t)(v + (taken & (v < max)) - ((taken ^ 1) & (v > 0))) ^ reset;
@@ -248,25 +260,46 @@ static inline __attribute__((always_inline)) void sweep_config(
     *ghr = g;
 }
 
+/* Every configuration of the layout over the chunk, one after the
+   other: a row of `predictions` each, or, with `count`, a row of
+   `misses` `width` branches wide. */
+static inline __attribute__((always_inline)) void sweep_configs(
+    int64_t n, const int64_t *pcs, const uint8_t *outcomes, uint8_t *predictions,
+    const int64_t *ids, int64_t width, int64_t *misses,
+    int64_t *regs, const int64_t *params, uint8_t *pht, int64_t *bht, const int count)
+{
+    const int64_t configs = params[0];
+    for (int64_t c = 0; c < configs; c++) {
+        const int64_t *p = params + 1 + c * 8;  /* SWEEP_PARAMS columns */
+        uint8_t *out = count ? 0 : predictions + c * n;
+        int64_t *row = count ? misses + c * width : 0;
+        uint8_t *table = pht + p[4];
+        int64_t *rows = bht + p[5];
+        if (p[0] && p[3])
+            sweep_config(n, pcs, outcomes, out, ids, row, regs + c, table, rows, p, 1, 1, count);
+        else if (p[0])
+            sweep_config(n, pcs, outcomes, out, ids, row, regs + c, table, rows, p, 1, 0, count);
+        else if (p[3])
+            sweep_config(n, pcs, outcomes, out, ids, row, regs + c, table, rows, p, 0, 1, count);
+        else
+            sweep_config(n, pcs, outcomes, out, ids, row, regs + c, table, rows, p, 0, 0, count);
+    }
+}
+
 EXPORT void sweep_step(
     int64_t n, const int64_t *pcs, const uint8_t *outcomes,
     uint8_t *predictions, int64_t *regs, const int64_t *params,
     uint8_t *pht, int64_t *bht)
 {
-    const int64_t configs = params[0];
-    for (int64_t c = 0; c < configs; c++) {
-        const int64_t *p = params + 1 + c * 8;  /* SWEEP_PARAMS columns */
-        uint8_t *out = predictions + c * n;
-        uint8_t *table = pht + p[4];
-        int64_t *rows = bht + p[5];
-        if (p[0]) {
-            if (p[3]) sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 1, 1);
-            else      sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 1, 0);
-        } else {
-            if (p[3]) sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 0, 1);
-            else      sweep_config(n, pcs, outcomes, out, regs + c, table, rows, p, 0, 0);
-        }
-    }
+    sweep_configs(n, pcs, outcomes, predictions, 0, 0, 0, regs, params, pht, bht, 0);
+}
+
+EXPORT void sweep_count(
+    int64_t n, int64_t width, const int64_t *pcs, const uint8_t *outcomes,
+    const int64_t *ids, int64_t *misses, int64_t *regs, const int64_t *params,
+    uint8_t *pht, int64_t *bht)
+{
+    sweep_configs(n, pcs, outcomes, 0, ids, width, misses, regs, params, pht, bht, 1);
 }
 """
 
@@ -274,19 +307,32 @@ _I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 _U16 = ctypes.POINTER(ctypes.c_uint16)
 
-#: argtypes after the leading ``n`` for each exported function.
+#: argtypes of each exported function's arrays, in call order.  C takes
+#: ``len(pcs)`` before them (``sweep_count`` also its miss matrix's width).
 _SIGNATURES = {
     "yags_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64, _U8, _U8, _I64, _U8, _U8),
     "bimode_step": (_I64, _U8, _U8, _I64, _I64, _U8, _U8, _U8),
     "filter_step": (_I64, _U8, _U8, _I64, _I64, _U8, _U16, _U8, _I64),
     "dhlf_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64),
     "sweep_step": (_I64, _U8, _U8, _I64, _I64, _U8, _I64),
+    "sweep_count": (_I64, _U8, _I64, _I64, _I64, _I64, _U8, _I64),
 }
 
 _DTYPES = {_I64: np.dtype(np.int64), _U8: np.dtype(np.uint8), _U16: np.dtype(np.uint16)}
 
-#: Positions of the arrays C only reads: ``pcs``, ``outcomes``, ``params``.
-_READ_ONLY = (0, 1, 4)
+#: Positions of the arrays C only reads, per function: ``pcs``,
+#: ``outcomes`` and ``params``, and the branch ids of ``sweep_count``.
+_READ_ONLY = {
+    "yags_step": (0, 1, 4),
+    "bimode_step": (0, 1, 4),
+    "filter_step": (0, 1, 4),
+    "dhlf_step": (0, 1, 4),
+    "sweep_step": (0, 1, 4),
+    "sweep_count": (0, 1, 2, 5),
+}
+
+#: Flags of every build; part of the shared object's cache key.
+_FLAGS = ("-O2", "-shared", "-fPIC", "-fvisibility=hidden")
 
 #: ``params`` columns of one :func:`sweep_step` configuration, after the
 #: leading configuration count: per-address history (0/1), history bits,
@@ -308,30 +354,47 @@ def cache_dir() -> Path:
 
 
 def _find_compiler() -> str | None:
+    """Path of the first compiler found on ``PATH``, or ``None``."""
     for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if candidate and shutil.which(candidate):
-            return candidate
+        found = shutil.which(candidate) if candidate else None
+        if found:
+            return found
     return None
+
+
+def _library_name(compiler: str) -> str:
+    """File name of the shared object ``compiler`` builds on this host.
+
+    The key covers what shapes the binary: the source, the compiler's
+    resolved file (its path, size and modification time, from one
+    ``os.stat`` — the load path runs no subprocess), the flags and
+    ``platform.machine()``.  So a cache directory shared across hosts
+    never hands one host another's binary.  The Python ABI is left out
+    on purpose: the library links no Python symbols (ctypes calls plain
+    C functions), so one build serves every interpreter on the host.
+    """
+    resolved = os.path.realpath(compiler)
+    stat = os.stat(resolved)
+    key = "\0".join(
+        (_SOURCE, resolved, str(stat.st_size), str(stat.st_mtime_ns), *_FLAGS, platform.machine())
+    )
+    return f"repro_kernels_{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
 
 
 def _build(directory: Path) -> Path:
     """Compile the embedded source into ``directory``; returns the .so."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    target = directory / f"repro_kernels_{digest}.so"
-    if target.exists():
-        return target
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler found (tried $CC, cc, gcc, clang)")
+    target = directory / _library_name(compiler)
+    if target.exists():
+        return target
     directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=directory) as tmp:
         source = Path(tmp) / "repro_kernels.c"
         source.write_text(_SOURCE)
         built = Path(tmp) / "repro_kernels.so"
-        command = [
-            compiler, "-O2", "-shared", "-fPIC", "-fvisibility=hidden",
-            "-o", str(built), str(source),
-        ]
+        command = [compiler, *_FLAGS, "-o", str(built), str(source)]
         result = subprocess.run(command, capture_output=True, text=True, timeout=120)
         if result.returncode != 0:
             raise RuntimeError(
@@ -343,38 +406,68 @@ def _build(directory: Path) -> Path:
     return target
 
 
+def _check_layout(name: str, params: np.ndarray, rows: int) -> None:
+    """The sweep layout was checked against the tables when the carrier
+    was built; a call only has to pass one of ``rows`` configurations."""
+    if params.size != 1 + SWEEP_PARAMS * rows or params[0] != rows:
+        raise ConfigurationError(f"{name}: params do not describe {rows} configurations")
+
+
 def _check_arrays(name: str, arrays: tuple, argtypes: tuple) -> None:
     """Raise :class:`ConfigurationError` unless ``arrays`` can be handed
     to C as ``name``'s parameters: one array per parameter, each of its
-    dtype and C-contiguous, the ones C writes writeable, and
-    ``outcomes`` and ``predictions`` sized for ``len(pcs)`` records
-    (``sweep_step`` writes one row of predictions per configuration)."""
+    dtype and C-contiguous, the ones C writes writeable, and sized for
+    ``len(pcs)`` records.  ``sweep_step`` writes one row of predictions
+    per configuration; ``sweep_count`` adds to one row of its miss
+    matrix per configuration, at every step's branch id, so each id
+    must index inside a row and no array C writes may overlap the ids."""
     if len(arrays) != len(argtypes):
         raise ConfigurationError(f"{name} takes {len(argtypes)} arrays, got {len(arrays)}")
+    read_only = _READ_ONLY[name]
     for position, (array, pointer) in enumerate(zip(arrays, argtypes)):
         dtype = _DTYPES[pointer]
         if (
             not isinstance(array, np.ndarray)
             or array.dtype != dtype
             or not array.flags.c_contiguous
-            or (position not in _READ_ONLY and not array.flags.writeable)
+            or (position not in read_only and not array.flags.writeable)
         ):
             raise ConfigurationError(
                 f"{name}: array {position} must be a C-contiguous"
-                f"{'' if position in _READ_ONLY else ', writeable'} {dtype} array"
+                f"{'' if position in read_only else ', writeable'} {dtype} array"
             )
-    pcs, outcomes, predictions, regs, params = arrays[:5]
+    pcs, outcomes = arrays[:2]
+    if pcs.ndim != 1 or outcomes.size != pcs.size:
+        raise ConfigurationError(
+            f"{name}: {pcs.size} pcs need as many outcomes, got {outcomes.size}"
+        )
+    if name == "sweep_count":
+        ids, misses, regs, params = arrays[2:6]
+        _check_layout(name, params, len(regs))
+        if misses.ndim != 2 or len(misses) != len(regs):
+            raise ConfigurationError(
+                f"{name}: the miss matrix needs one row per configuration "
+                f"({len(regs)}), got shape {misses.shape}"
+            )
+        width = misses.shape[1]
+        if ids.ndim != 1 or ids.size != len(pcs):
+            raise ConfigurationError(f"{name}: {len(pcs)} pcs need as many ids, got {ids.size}")
+        if len(ids) and not (ids.min() >= 0 and ids.max() < width):
+            raise ConfigurationError(f"{name}: every id must lie in [0, {width})")
+        # An id is the one index C does not mask, so no write may change
+        # one after it was checked.
+        if any(np.may_share_memory(ids, written) for written in (misses, regs, *arrays[6:])):
+            raise ConfigurationError(f"{name}: the ids overlap an array C writes")
+        return
+    predictions, regs, params = arrays[2:5]
     rows = 1
     if name == "sweep_step":
-        # The layout itself was checked against the tables when the
-        # carrier was built; here it only has to be the same shape.
         rows = len(regs)
-        if params.size != 1 + SWEEP_PARAMS * rows or params[0] != rows:
-            raise ConfigurationError(f"{name}: params do not describe {rows} configurations")
-    if pcs.ndim != 1 or outcomes.size != len(pcs) or predictions.size != rows * len(pcs):
+        _check_layout(name, params, rows)
+    if predictions.size != rows * len(pcs):
         raise ConfigurationError(
-            f"{name}: {len(pcs)} pcs need as many outcomes and {rows} row(s) of "
-            f"predictions, got {outcomes.size} and {predictions.size}"
+            f"{name}: {len(pcs)} pcs need {rows} row(s) of predictions, "
+            f"got {predictions.size} predictions"
         )
 
 
@@ -405,34 +498,61 @@ def check_sweep_tables(
 
 def _wrap(name, func, argtypes):
     """A Python-signature adapter: (arrays...) -> checked C call with length."""
+    counting = name == "sweep_count"
     func.restype = None
-    func.argtypes = (ctypes.c_int64,) + argtypes
+    func.argtypes = (ctypes.c_int64,) * (2 if counting else 1) + argtypes
 
-    def call(pcs, outcomes, predictions, regs, params, *state):
-        arrays = (pcs, outcomes, predictions, regs, params) + state
+    def call(*arrays):
         _check_arrays(name, arrays, argtypes)
-        func(len(pcs), *(a.ctypes.data_as(t) for a, t in zip(arrays, argtypes)))
+        scalars = (len(arrays[0]), arrays[3].shape[1]) if counting else (len(arrays[0]),)
+        func(*scalars, *(a.ctypes.data_as(t) for a, t in zip(arrays, argtypes)))
 
     return call
 
 
+def _smoke(table: dict[str, object]) -> None:
+    """Raise unless the loaded ``sweep_step`` gets a known answer: a
+    gshare (2 history bits xor 3 PHT bits, 2-bit counters) over four
+    records, as the reference predictor steps it."""
+    predictions = np.empty(4, dtype=np.uint8)
+    regs = np.zeros(1, dtype=np.int64)
+    table["sweep_step"](
+        np.array([5, 6, 5, 7], dtype=np.int64),
+        np.array([0, 0, 0, 1], dtype=np.uint8),
+        predictions,
+        regs,
+        # One configuration, its SWEEP_PARAMS columns; no BHT rows.
+        np.array([1, 0, 2, 3, 1, 0, 0, -1, 2], dtype=np.int64),
+        np.zeros(8, dtype=np.uint8),
+        np.zeros(0, dtype=np.int64),
+    )
+    if predictions.tolist() != [1, 1, 0, 1] or regs.tolist() != [1]:
+        raise RuntimeError(
+            f"smoke call of sweep_step gave predictions {predictions.tolist()} and "
+            f"register {regs.tolist()}, not [1, 1, 0, 1] and [1]"
+        )
+
+
 def load() -> dict[str, object]:
     """The kernel table ``{name: callable}``; raises on first failure
-    and caches the outcome either way."""
+    and caches the outcome either way.  A library that loads but fails
+    its smoke call (:func:`_smoke`) is a failure too."""
     if "table" in _cache:
         return _cache["table"]
     if "error" in _cache:
         raise RuntimeError(_cache["error"])
     try:
         library = ctypes.CDLL(str(_build(cache_dir())))
-        _cache["table"] = {
+        table = {
             name: _wrap(name, getattr(library, name), argtypes)
             for name, argtypes in _SIGNATURES.items()
         }
+        _smoke(table)
     except Exception as exc:  # noqa: BLE001 - availability probe must not raise types
         _cache["error"] = f"cext backend unavailable: {exc}"
         raise RuntimeError(_cache["error"]) from exc
-    return _cache["table"]
+    _cache["table"] = table
+    return table
 
 
 def available() -> tuple[bool, str]:

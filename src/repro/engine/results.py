@@ -4,8 +4,8 @@ A predictor simulation produces, for every static branch, how many
 times it executed and how many of those executions were mispredicted.
 :class:`SimulationResult` stores those per-PC columns and derives the
 aggregate and per-branch miss rates every analysis in the paper is
-built from; :func:`_attribute_chunks` counts them from a carrier's
-per-step predictions, chunk by chunk.
+built from; :func:`_attribute_chunks` gathers them from a carrier's
+per-branch miss counts, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -158,35 +158,61 @@ class SimulationResult(Mapping[int, BranchResult]):
 # -- per-PC attribution ---------------------------------------------------------
 
 
-def _attribute_chunks(
-    feed, predictors, chunks: Iterable, trace_name: str | None = None
-) -> list[SimulationResult]:
-    """Feed every chunk to a carrier and attribute its misses per PC.
+def count_misses(predictions, outcomes: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
+    """``(len(predictions) × width)`` misses per branch from per-step
+    predictions: column ``j`` of row ``r`` counts the steps with
+    ``ids == j`` that ``predictions[r]`` got wrong.  Every carrier
+    without a counting kernel is counted this way."""
+    misses = np.zeros((len(predictions), width), dtype=np.int64)
+    for row, predicted in enumerate(predictions):
+        # Misses are 0/1, so counting the missed ids directly beats a
+        # weighted bincount over the whole chunk.
+        misses[row] = np.bincount(ids[predicted != outcomes], minlength=width)
+    return misses
 
-    ``feed(pcs, outcomes)`` returns one prediction array per entry of
-    ``predictors`` for a chunk.  Chunks are
+
+def _as_trace(chunk) -> Trace:
+    """A chunk as a validated :class:`~repro.trace.stream.Trace`.
+
+    A ``(pcs, outcomes)`` pair passes the same checks as a trace (equal
+    lengths, non-negative PCs, 0/1 outcomes) before any carrier sees
+    it; views keep the caller's own arrays writeable.
+    """
+    if isinstance(chunk, Trace):
+        return chunk
+    pcs, outcomes = chunk
+    return Trace(np.asarray(pcs).view(), np.asarray(outcomes).view())
+
+
+def _attribute_chunks(
+    count, predictors, chunks: Iterable, trace_name: str | None = None
+) -> list[SimulationResult]:
+    """Feed every chunk to a carrier and gather its misses per PC.
+
+    ``count(pcs, outcomes, ids, width)`` advances the carrier over one
+    chunk and returns its ``(len(predictors) × width)`` miss matrix,
+    where ``ids`` numbers each step's branch by its rank among the
+    chunk's ``width`` distinct PCs (a counting kernel fills it as it
+    steps; other carriers use :func:`count_misses`).  Chunks are
     :class:`~repro.trace.stream.Trace` objects or ``(pcs, outcomes)``
-    pairs.  The result's trace name is ``trace_name``, else the first
-    named chunk's.  This is the per-PC attribution of every engine
-    except the reference oracle, which keeps its own.
+    pairs, which are validated like traces.  The result's trace name is
+    ``trace_name``, else the first named chunk's.  This is the per-PC
+    attribution of every engine except the reference oracle, which
+    keeps its own.
     """
     pcs_axis = np.zeros(0, dtype=np.int64)
     # Row 0 counts executions; row 1 + i counts predictor i's misses.
     counts = np.zeros((len(predictors) + 1, 0), dtype=np.int64)
     name = trace_name
     for chunk in chunks:
-        if isinstance(chunk, Trace):
-            pcs, outcomes = chunk.pcs, chunk.outcomes
-            if name is None and chunk.name:
-                name = chunk.name
-        else:
-            pcs, outcomes = chunk
-            pcs = np.asarray(pcs, dtype=np.int64)
-            outcomes = np.asarray(outcomes, dtype=np.uint8)
-        if len(pcs) == 0:
+        trace = _as_trace(chunk)
+        if name is None and trace.name:
+            name = trace.name
+        if len(trace) == 0:
             continue
-        predictions = feed(pcs, outcomes)
-        chunk_pcs, codes = np.unique(pcs, return_inverse=True)
+        chunk_pcs, ids = np.unique(trace.pcs, return_inverse=True)
+        width = len(chunk_pcs)
+        misses = count(trace.pcs, trace.outcomes, ids, width)
         # The first chunk's sorted unique PCs are the axis as they stand.
         merged = np.union1d(pcs_axis, chunk_pcs) if len(pcs_axis) else chunk_pcs
         if len(merged) > len(pcs_axis):
@@ -195,12 +221,8 @@ def _attribute_chunks(
             grown[:, np.searchsorted(merged, pcs_axis)] = counts
             pcs_axis, counts = merged, grown
         rows = np.searchsorted(pcs_axis, chunk_pcs)
-        width = len(chunk_pcs)
-        counts[0, rows] += np.bincount(codes, minlength=width)
-        for row, predicted in enumerate(predictions, 1):
-            # Misses are 0/1, so counting the missed codes directly
-            # beats a weighted bincount over the whole chunk.
-            counts[row, rows] += np.bincount(codes[predicted != outcomes], minlength=width)
+        counts[0, rows] += np.bincount(ids, minlength=width)
+        counts[1:, rows] += misses
     return [
         SimulationResult(
             pcs_axis,

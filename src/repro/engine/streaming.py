@@ -4,11 +4,14 @@ A *carrier* simulates one chunk of a branch stream at a time and keeps
 all predictor state between chunks: :func:`stream_simulator` returns
 one whose ``feed(pcs, outcomes)`` yields the chunk's per-step
 predictions.  Every simulation except the reference oracle runs
-through a carrier.  :func:`simulate_stream` feeds it an iterator of
-chunks (typically a :class:`~repro.trace.io.TraceReader` over a chunked
-``.rbt`` v2 file) with peak memory O(chunk); the in-memory entry points
-:func:`simulate_vectorized` and :func:`predictions_vectorized` feed it
-the whole trace as one chunk.
+through a carrier; its misses are counted per branch from those
+predictions (only the two-level sweep,
+:func:`~repro.engine.batched.simulate_batched_stream`, has its compiled
+kernel count them as it steps).  :func:`simulate_stream` feeds it an
+iterator of chunks (typically a :class:`~repro.trace.io.TraceReader`
+over a chunked ``.rbt`` v2 file) with peak memory O(chunk); the
+in-memory entry points :func:`simulate_vectorized` and
+:func:`predictions_vectorized` feed it the whole trace as one chunk.
 
 What each family carries between chunks:
 
@@ -63,7 +66,7 @@ from .batched import (
     _slot_groups,
     supports_batched,
 )
-from .results import SimulationResult, _attribute_chunks
+from .results import SimulationResult, _attribute_chunks, count_misses
 from .scan import counter_step_table, segmented_automaton_scan, stable_key_order
 
 __all__ = [
@@ -381,9 +384,11 @@ def simulate_stream(
 
     predictor = build_predictor(predictor)
     carrier = stream_simulator(predictor, engine=engine, backend=backend)
-    return _attribute_chunks(
-        lambda pcs, outcomes: [carrier.feed(pcs, outcomes)], [predictor], chunks, trace_name
-    )[0]
+
+    def count(pcs, outcomes, ids, width):
+        return count_misses([carrier.feed(pcs, outcomes)], outcomes, ids, width)
+
+    return _attribute_chunks(count, [predictor], chunks, trace_name)[0]
 
 
 def predictions_vectorized(predictor, trace: Trace) -> np.ndarray:

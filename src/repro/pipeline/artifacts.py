@@ -77,6 +77,11 @@ __all__ = [
 #: every content address, so old store objects simply stop matching.
 #: Version 2: the trace root became the workload-spec-addressed
 #: :class:`WorkloadNode` (was the spec95-only ``SuiteTracesNode``).
+#: Not bumped when :class:`WorkloadNode` stored its traces as a branch
+#: dictionary (``branches_<i>``/``ids_<i>``/``taken_<i>``, was
+#: ``pcs_<i>``/``outcomes_<i>``): the values are the same, so every
+#: downstream address stays valid, and an object in the old layout
+#: fails to decode, reads as a miss and is rewritten when a run needs it.
 STORE_VERSION = 2
 
 _GRID_FIELDS = (
@@ -228,17 +233,37 @@ class WorkloadNode(ArtifactNode):
         return config.suite.traces()
 
     def encode(self, value: list[Trace]) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        # A trace holds few distinct branches, so each is stored as its
+        # sorted distinct PCs, one id per record in the narrowest
+        # unsigned dtype, and the outcomes packed eight to a byte.
         arrays: dict[str, np.ndarray] = {}
         for i, trace in enumerate(value):
-            arrays[f"pcs_{i}"] = trace.pcs
-            arrays[f"outcomes_{i}"] = trace.outcomes
-        return arrays, {"names": [trace.name for trace in value]}
+            branches, ids = np.unique(trace.pcs, return_inverse=True)
+            arrays[f"branches_{i}"] = branches
+            arrays[f"ids_{i}"] = ids.astype(np.min_scalar_type(max(len(branches) - 1, 0)))
+            arrays[f"taken_{i}"] = np.packbits(trace.outcomes)
+        meta = {"names": [trace.name for trace in value], "records": [len(t) for t in value]}
+        return arrays, meta
 
     def decode(self, arrays: Mapping[str, np.ndarray], meta: dict[str, Any]) -> list[Trace]:
-        return [
-            Trace(arrays[f"pcs_{i}"], arrays[f"outcomes_{i}"], name=name)
-            for i, name in enumerate(meta["names"])
-        ]
+        names, records = meta["names"], meta["records"]
+        if len(names) != len(records):
+            raise PipelineError("workload-traces: names and record counts disagree")
+        traces = []
+        for i, (name, count) in enumerate(zip(names, records)):
+            branches, ids, taken = (arrays[f"{a}_{i}"] for a in ("branches", "ids", "taken"))
+            # np.unpackbits(count=) pads a short array with zeros, so
+            # every length is checked here.
+            if (
+                ids.dtype.kind != "u"
+                or len(ids) != count
+                or (count and int(ids.max()) >= len(branches))
+                or len(taken) != -(-count // 8)
+            ):
+                raise PipelineError(f"workload-traces: trace {i} ({name!r}) is inconsistent")
+            outcomes = np.unpackbits(taken, count=count)
+            traces.append(Trace(branches[ids], outcomes, name=name))
+        return traces
 
 
 def _trace_by_name(traces: list[Trace], name: str) -> Trace:

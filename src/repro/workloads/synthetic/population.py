@@ -173,7 +173,8 @@ class BranchPopulation:
         if n == 0:
             return Trace.empty(name=name or self.name)
 
-        reps = n // len(self._schedule) + 1
+        cycle = len(self._schedule)
+        reps = n // cycle + 1
         slots = np.tile(self._schedule, reps)[:n]
 
         pcs = np.asarray([s.pc for s in self.specs], dtype=np.int64)[slots]
@@ -181,20 +182,30 @@ class BranchPopulation:
 
         root = np.random.default_rng(self.seed + 0x9E3779B9)
         counts = np.bincount(slots, minlength=len(self.specs))
+        # The trace repeats the schedule, so one stable sort of a single
+        # cycle gives each branch's offsets in it; shifted into every
+        # cycle, they are its positions in time order.
+        order = np.argsort(self._schedule, kind="stable")
+        per_cycle = np.bincount(self._schedule, minlength=len(self.specs))
+        bounds = np.concatenate(([0], np.cumsum(per_cycle)))
+        starts = np.arange(reps)[:, None] * cycle
+
+        def positions(i: int) -> np.ndarray:
+            return (starts + order[bounds[i] : bounds[i + 1]]).ravel()[: counts[i]]
+
         for i, spec in enumerate(self.specs):
             child = np.random.default_rng(root.integers(2**63))
             if counts[i] == 0 or spec.follows is not None:
                 continue
-            stream = spec.model.generate(int(counts[i]), child)
-            outcomes[slots == i] = stream
+            outcomes[positions(i)] = spec.model.generate(int(counts[i]), child)
 
         # Correlated followers copy the outcome of the occurrence right
         # before them — their leader, by schedule construction.
         for i, spec in enumerate(self.specs):
             if spec.follows is None or counts[i] == 0:
                 continue
-            positions = np.flatnonzero(slots == i)
-            outcomes[positions] = outcomes[positions - 1]
+            at = positions(i)
+            outcomes[at] = outcomes[at - 1]
         return Trace(pcs, outcomes, name=name or self.name)
 
 

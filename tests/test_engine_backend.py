@@ -301,6 +301,44 @@ def bad_arrays(case, rows, n=64):
     return pcs, outcomes, predictions
 
 
+#: One defect each in a ``sweep_count`` call over 64 records and a
+#: 16-branch miss matrix.
+COUNT_BAD_CASES = (
+    "id-equal-to-width",
+    "negative-id",
+    "int32-ids",
+    "short-ids",
+    "ids-inside-the-matrix",
+    "wrong-matrix-shape",
+    "read-only-matrix",
+)
+
+
+def count_arrays(case, configs, n=64, width=16):
+    """``(pcs, outcomes, ids, misses)`` for ``sweep_count`` with one defect."""
+    pcs, outcomes, _ = bad_arrays("none", 1, n)
+    ids = np.arange(n, dtype=np.int64) % width
+    misses = np.zeros((configs, width), dtype=np.int64)
+    if case == "id-equal-to-width":
+        ids[5] = width
+    elif case == "negative-id":
+        ids[5] = -1
+    elif case == "int32-ids":
+        ids = ids.astype(np.int32)
+    elif case == "short-ids":
+        ids = ids[:-1]
+    elif case == "ids-inside-the-matrix":
+        # Valid ids at the check, but C would overwrite them as it counts.
+        misses = np.zeros((configs, n), dtype=np.int64)
+        ids = misses[0]
+        ids[:] = np.arange(n) % width
+    elif case == "wrong-matrix-shape":
+        misses = np.zeros((configs + 1, width), dtype=np.int64)
+    elif case == "read-only-matrix":
+        misses.setflags(write=False)
+    return pcs, outcomes, ids, misses
+
+
 @pytest.mark.skipif(not CEXT_USABLE, reason="no C compiler on this host")
 class TestCtypesBoundary:
     """A bad array raises ConfigurationError and never reaches C."""
@@ -357,3 +395,94 @@ class TestCtypesBoundary:
             cext.check_sweep_tables(bad, regs, pht, bht)
         with pytest.raises(ConfigurationError, match="disagree"):
             cext.check_sweep_tables(params, regs[:1], pht, bht)
+
+    # ``sweep_count`` writes at every step's branch id, so a bad id or
+    # miss matrix must never reach C either.
+
+    @staticmethod
+    def sweep_kernel():
+        predictors = [spec.build() for spec in KERNEL_SPECS["sweep_step"]]
+        return BatchedStream(predictors, backend="cext")._kernel
+
+    def test_counting_entry_counts_the_misses_of_the_predictions(self):
+        counting, stepping = self.sweep_kernel(), self.sweep_kernel()
+        pcs, outcomes, ids, misses = count_arrays("none", len(counting.regs))
+        predictions = np.empty(2 * len(pcs), dtype=np.uint8)
+        stepping.step(
+            pcs, outcomes, predictions, stepping.regs, stepping.params, stepping.pht, stepping.bht
+        )
+        counting.count(
+            pcs, outcomes, ids, misses, counting.regs, counting.params, counting.pht, counting.bht
+        )
+        for row, predicted in enumerate(predictions.reshape(2, -1)):
+            expected = np.bincount(ids[predicted != outcomes], minlength=misses.shape[1])
+            assert np.array_equal(misses[row], expected)
+        assert np.array_equal(counting.regs, stepping.regs)
+        assert np.array_equal(counting.pht, stepping.pht)
+
+    @pytest.mark.parametrize("case", COUNT_BAD_CASES)
+    def test_counting_entry_rejects_bad_ids_or_matrix(self, case):
+        kernel = self.sweep_kernel()
+        pcs, outcomes, ids, misses = count_arrays(case, len(kernel.regs))
+        before = [table.copy() for table in (kernel.regs, kernel.pht, kernel.bht)]
+        with pytest.raises(ConfigurationError, match="sweep_count"):
+            kernel.count(
+                pcs, outcomes, ids, misses, kernel.regs, kernel.params, kernel.pht, kernel.bht
+            )
+        after = (kernel.regs, kernel.pht, kernel.bht)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+class TestBuildCache:
+    """The shared object's name keys everything that shapes the binary."""
+
+    @staticmethod
+    def fake_compiler(directory, body):
+        path = directory / "cc"
+        path.write_bytes(body)
+        return str(path)
+
+    def test_machine_and_compiler_change_the_name(self, tmp_path, monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        compiler = self.fake_compiler(tmp_path / "a", b"one compiler")
+        other = self.fake_compiler(tmp_path / "b", b"another compiler")
+        name = cext._library_name(compiler)
+        assert name == cext._library_name(compiler)
+        assert cext._library_name(other) != name
+        monkeypatch.setattr(cext.platform, "machine", lambda: "elsewhere")
+        assert cext._library_name(compiler) != name
+
+    def test_no_compiler_loads_no_cached_object(self, tmp_path, monkeypatch):
+        # Whatever the cache holds, a host that cannot key it stays off.
+        (tmp_path / "repro_kernels_0000000000000000.so").write_bytes(b"")
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+        monkeypatch.setattr(cext, "_cache", {})
+        monkeypatch.setattr(cext, "_find_compiler", lambda: None)
+        usable, reason = cext.available()
+        assert not usable and "no C compiler" in reason
+        assert resolve_backend("auto") == "python"
+
+    @pytest.mark.skipif(not CEXT_USABLE, reason="no C compiler on this host")
+    def test_failing_smoke_call_makes_auto_resolve_to_python(self, monkeypatch):
+        wrap = cext._wrap
+
+        def miscompiled(name, func, argtypes):
+            call = wrap(name, func, argtypes)
+            if name != "sweep_step":
+                return call
+
+            def flipped(pcs, outcomes, predictions, *rest):
+                call(pcs, outcomes, predictions, *rest)
+                predictions ^= 1
+
+            return flipped
+
+        monkeypatch.setattr(cext, "_cache", {})
+        monkeypatch.setattr(cext, "_wrap", miscompiled)
+        usable, reason = cext.available()
+        assert not usable and "smoke call of sweep_step" in reason
+        assert resolve_backend("auto") == "python"
+        with pytest.raises(ConfigurationError, match="unavailable"):
+            resolve_backend("cext")
+        assert BatchedStream([TwoLevelSpec.gas(2).build()], backend="auto").backend == "python"

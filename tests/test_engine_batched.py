@@ -32,6 +32,7 @@ from repro.engine.batched import (
     _GlobalHistory,
     _SlotHistory,
 )
+from repro.engine.results import count_misses
 from repro.errors import ConfigurationError
 from repro.session import Session
 from repro.spec import (
@@ -51,7 +52,7 @@ from repro.predictors import (
     make_pshare,
     paper_predictor,
 )
-from repro.trace import Trace
+from repro.trace import Trace, concat
 
 
 #: The two-level carrier's paths on this host: numpy scans and, with a
@@ -275,16 +276,31 @@ def geometries(draw):
     num_pcs=st.integers(1, 40),
     chunk=st.integers(64, 4096),
     split=st.integers(1, 400),
+    cuts=st.lists(st.integers(0, 420), max_size=6),
+    late=st.integers(0, 20),
 )
-def test_batched_sweep_property(specs, seed, n, num_pcs, chunk, split):
+def test_batched_sweep_property(specs, seed, n, num_pcs, chunk, split, cuts, late):
     """Random geometries beside paper configurations, random traces,
-    stack sizes and chunk splits: every backend == reference, per PC."""
-    trace = random_trace(seed, n, num_pcs)
+    stack sizes and chunk splits: every backend == reference, per PC.
+
+    The trace is cut every ``split`` records (down to one-record
+    chunks) and at random ``cuts`` on top; it ends with ``late``
+    records of a PC seen nowhere before, in chunks of their own, and
+    repeated cuts make empty chunks, so the per-PC axis grows after the
+    first chunk and the carriers count empty and single-PC chunks (the
+    ``cext`` kernel counts its misses itself; the ``python`` scans
+    count theirs from predictions)."""
+    head = random_trace(seed, n, num_pcs)
+    trace = Trace(
+        np.append(head.pcs, np.full(late, 0x40_0000)),
+        np.append(head.outcomes, np.arange(late) % 3 == 0),
+    )
+    bounds = sorted([*range(0, n, split), n, n + late, *(min(c, n + late) for c in cuts)])
     predictors = [paper_predictor(kind, k) for kind in ("pas", "gas") for k in (0, 1, 3, 8)]
     predictors += [spec.build() for spec in specs]
     expected = [simulate_reference(predictor, trace) for predictor in predictors]
     for backend in BACKENDS:
-        chunks = (trace[start : start + split] for start in range(0, n, split))
+        chunks = (trace[start:end] for start, end in zip(bounds, bounds[1:]))
         results = simulate_batched_stream(
             predictors, chunks, max_chunk_elements=chunk, backend=backend
         )
@@ -467,6 +483,31 @@ class TestBatchedStreamSplits:
             [spec.build() for spec in specs], chunks_of(self.TRACE, chunk_len), backend=backend
         )
         assert_matches_reference(specs, results, self.TRACE)
+
+    def test_empty_single_pc_and_late_pc_chunks(self, backend):
+        # An empty chunk, a chunk of one PC, then the rest, whose last
+        # chunk brings PCs no earlier chunk had.
+        late = Trace(np.arange(40) % 5 * 4 + 0x9_0000, np.arange(40) % 3 == 0, name="late")
+        trace = concat([self.TRACE[:0], Trace(np.full(9, 0x1000), np.ones(9)), self.TRACE, late])
+        chunks = [trace[:0], trace[:9], trace[9:1009], trace[1009:-40], trace[-40:]]
+        specs = [*SWEEP_SPECS, TwoLevelSpec(history_bits=4, counter_bits=4)]
+        results = simulate_batched_stream([spec.build() for spec in specs], chunks, backend=backend)
+        assert_matches_reference(specs, results, trace)
+
+    def test_counted_misses_match_the_predictions(self, backend):
+        # The counts the carrier returns are the misses of the very
+        # predictions it would have returned, chunk after chunk.
+        predictors = [spec.build() for spec in SWEEP_SPECS]
+        counting = BatchedStream(predictors, backend=backend)
+        stepping = BatchedStream(predictors, backend=backend)
+        for chunk in chunks_of(self.TRACE, 997):
+            branches, ids = np.unique(chunk.pcs, return_inverse=True)
+            misses = counting.misses(chunk.pcs, chunk.outcomes, ids, len(branches))
+            predictions = stepping.feed(chunk.pcs, chunk.outcomes)
+            expected = count_misses(predictions, chunk.outcomes, ids, len(branches))
+            assert np.array_equal(misses, expected)
+        empty = counting.misses(self.TRACE.pcs[:0], self.TRACE.outcomes[:0], [], 3)
+        assert empty.shape == (len(predictors), 3) and not empty.any()
 
     def test_empty_stream(self, backend):
         results = simulate_batched_stream(

@@ -7,9 +7,12 @@ from repro.engine import (
     BranchResult,
     SimulationResult,
     simulate,
+    simulate_batched_stream,
     simulate_reference,
+    simulate_stream,
 )
-from repro.engine.results import _attribute_chunks
+from repro.engine.backend import backend_availability
+from repro.engine.results import _attribute_chunks, count_misses
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors import (
     AlwaysTakenPredictor,
@@ -17,7 +20,18 @@ from repro.predictors import (
     YagsPredictor,
     make_gas,
 )
+from repro.spec import YagsSpec
 from repro.trace import Trace
+
+#: The backends this host can run.
+BACKENDS = [name for name, (usable, _) in backend_availability().items() if usable]
+
+#: ``(pcs, outcomes)`` chunks a trace would refuse.
+BAD_PAIRS = {
+    "outcome-2": ([4, 8, 4, 8], [0, 2, 1, 0]),
+    "negative-pc": ([4, -8, 4, 8], [0, 1, 1, 0]),
+    "length-mismatch": ([4, 8, 4, 8], [0, 1, 1]),
+}
 
 
 class TestBranchResult:
@@ -158,7 +172,11 @@ class TestAttributeChunks:
 
     @staticmethod
     def always(direction):
-        return lambda pcs, outcomes: [np.full(len(pcs), direction, dtype=np.uint8)]
+        def count(pcs, outcomes, ids, width):
+            predictions = [np.full(len(pcs), direction, dtype=np.uint8)]
+            return count_misses(predictions, outcomes, ids, width)
+
+        return count
 
     def test_later_chunks_widen_the_sorted_pc_axis(self):
         chunks = [
@@ -173,12 +191,13 @@ class TestAttributeChunks:
         assert result.predictor_name == "always-taken"
 
     def test_one_row_per_predictor(self):
-        def feed(pcs, outcomes):
-            return [np.ones(len(pcs), np.uint8), np.zeros(len(pcs), np.uint8)]
+        def count(pcs, outcomes, ids, width):
+            predictions = [np.ones(len(pcs), np.uint8), np.zeros(len(pcs), np.uint8)]
+            return count_misses(predictions, outcomes, ids, width)
 
         chunks = [(np.array([8, 4]), np.array([1, 0])), (np.array([4]), np.array([0]))]
         taken, not_taken = _attribute_chunks(
-            feed, [AlwaysTakenPredictor(), AlwaysTakenPredictor()], chunks
+            count, [AlwaysTakenPredictor(), AlwaysTakenPredictor()], chunks
         )
         assert list(taken.pcs) == list(not_taken.pcs) == [4, 8]
         assert list(taken.mispredictions) == [2, 0]
@@ -194,3 +213,21 @@ class TestAttributeChunks:
         assert overridden.trace_name == "given"
         (empty,) = _attribute_chunks(self.always(0), [AlwaysTakenPredictor()], [Trace.empty()])
         assert len(empty.pcs) == 0 and empty.total_executions == 0
+
+    @pytest.mark.parametrize("defect", sorted(BAD_PAIRS))
+    @pytest.mark.parametrize("carrier", ("batched", "yags-stream"))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pair_chunks_are_validated_like_traces(self, backend, carrier, defect):
+        pcs, outcomes = (np.asarray(column) for column in BAD_PAIRS[defect])
+        chunks = [(np.array([4, 8]), np.array([1, 0])), (pcs, outcomes)]
+        with pytest.raises(TraceError):
+            if carrier == "batched":
+                simulate_batched_stream([make_gas(2), make_gas(0)], chunks, backend=backend)
+            else:
+                simulate_stream(YagsSpec(), chunks, backend=backend)
+
+    def test_pair_chunks_stay_writeable(self):
+        pcs, outcomes = np.array([4, 8, 4]), np.array([1, 0, 1], dtype=np.uint8)
+        (result,) = _attribute_chunks(self.always(1), [AlwaysTakenPredictor()], [(pcs, outcomes)])
+        assert list(result.mispredictions) == [0, 1]
+        assert pcs.flags.writeable and outcomes.flags.writeable

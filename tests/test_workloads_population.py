@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.classify import ProfileTable
+from repro.classify.classes import NUM_CLASSES
 from repro.errors import ConfigurationError
 from repro.trace import merge_suite
 from repro.workloads.synthetic import (
@@ -21,6 +24,27 @@ from repro.workloads.synthetic import (
     scaled_length,
     suite_traces,
 )
+
+
+def masked_generate(population, n):
+    """The outcomes ``BranchPopulation.generate`` produced when it found
+    each branch's positions with a full-length ``slots == i`` mask: the
+    oracle of its single-sort form."""
+    slots = np.tile(population._schedule, n // len(population._schedule) + 1)[:n]
+    outcomes = np.zeros(n, dtype=np.uint8)
+    root = np.random.default_rng(population.seed + 0x9E3779B9)
+    counts = np.bincount(slots, minlength=len(population.specs))
+    for i, spec in enumerate(population.specs):
+        child = np.random.default_rng(root.integers(2**63))
+        if counts[i] == 0 or spec.follows is not None:
+            continue
+        outcomes[slots == i] = spec.model.generate(int(counts[i]), child)
+    for i, spec in enumerate(population.specs):
+        if spec.follows is None or counts[i] == 0:
+            continue
+        positions = np.flatnonzero(slots == i)
+        outcomes[positions] = outcomes[positions - 1]
+    return outcomes
 
 
 class TestBranchPopulation:
@@ -93,6 +117,40 @@ class TestBranchPopulation:
         positions = [i for i, pc in enumerate(trace.pcs) if int(pc) in hard_pcs]
         # All 10 hard slots contiguous.
         assert max(positions) - min(positions) == len(positions) - 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.integers(0, NUM_CLASSES - 1),
+            st.integers(0, NUM_CLASSES - 1),
+            st.floats(0.01, 1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**16),
+    correlated=st.floats(0.0, 1.0),
+    adjacency=st.floats(0.0, 1.0),
+    cycles=st.floats(0.0, 3.0),
+)
+def test_generate_matches_the_masked_formula(cells, seed, correlated, adjacency, cycles):
+    """Random joint distributions, followers and clustering, at lengths
+    inside, at and across schedule cycles."""
+    weights = np.zeros((NUM_CLASSES, NUM_CLASSES))
+    for row, column, weight in cells:
+        weights[row, column] += weight
+    population = population_from_joint(
+        weights,
+        seed=seed,
+        correlated_fraction=correlated,
+        hard_adjacency=adjacency,
+        cycle_target=256,
+    )
+    n = int(cycles * population.cycle_length)
+    trace = population.generate(n)
+    assert np.array_equal(trace.outcomes, masked_generate(population, n))
 
 
 class TestPopulationFromJoint:
