@@ -46,7 +46,7 @@ SNAPSHOT_PATTERN = re.compile(r"^BENCH_(\d+)\.json$")
 QUICK_SELECT = (
     "engine_throughput or sweep_throughput or kernels_run_all or materialize"
     " or chaos_overhead or serve_warm or ingest_throughput or adversarial_suite_sweep"
-    " or backend_throughput or sweep_backend or suite_traces_store"
+    " or backend_throughput or sweep_backend or suite_traces_store or suite_profile"
 )
 
 

@@ -191,9 +191,11 @@ def _attribute_chunks(
 
     ``count(pcs, outcomes, ids, width)`` advances the carrier over one
     chunk and returns its ``(len(predictors) × width)`` miss matrix,
-    where ``ids`` numbers each step's branch by its rank among the
-    chunk's ``width`` distinct PCs (a counting kernel fills it as it
-    steps; other carriers use :func:`count_misses`).  Chunks are
+    where ``ids`` (int64) numbers each step's branch by its rank among
+    the chunk's ``width`` distinct PCs: the ids of the chunk's branch
+    dictionary (:meth:`~repro.trace.stream.Trace.dictionary`), widened.
+    A counting kernel fills the matrix as it steps; other carriers use
+    :func:`count_misses`.  Chunks are
     :class:`~repro.trace.stream.Trace` objects or ``(pcs, outcomes)``
     pairs, which are validated like traces.  The result's trace name is
     ``trace_name``, else the first named chunk's.  This is the per-PC
@@ -210,9 +212,9 @@ def _attribute_chunks(
             name = trace.name
         if len(trace) == 0:
             continue
-        chunk_pcs, ids = np.unique(trace.pcs, return_inverse=True)
+        chunk_pcs, ids = trace.dictionary()
         width = len(chunk_pcs)
-        misses = count(trace.pcs, trace.outcomes, ids, width)
+        misses = count(trace.pcs, trace.outcomes, ids.astype(np.int64), width)
         # The first chunk's sorted unique PCs are the axis as they stand.
         merged = np.union1d(pcs_axis, chunk_pcs) if len(pcs_axis) else chunk_pcs
         if len(merged) > len(pcs_axis):

@@ -234,13 +234,12 @@ class WorkloadNode(ArtifactNode):
 
     def encode(self, value: list[Trace]) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         # A trace holds few distinct branches, so each is stored as its
-        # sorted distinct PCs, one id per record in the narrowest
-        # unsigned dtype, and the outcomes packed eight to a byte.
+        # branch dictionary (sorted distinct PCs, one id per record in
+        # the narrowest unsigned dtype) and the outcomes packed eight
+        # to a byte.
         arrays: dict[str, np.ndarray] = {}
         for i, trace in enumerate(value):
-            branches, ids = np.unique(trace.pcs, return_inverse=True)
-            arrays[f"branches_{i}"] = branches
-            arrays[f"ids_{i}"] = ids.astype(np.min_scalar_type(max(len(branches) - 1, 0)))
+            arrays[f"branches_{i}"], arrays[f"ids_{i}"] = trace.dictionary()
             arrays[f"taken_{i}"] = np.packbits(trace.outcomes)
         meta = {"names": [trace.name for trace in value], "records": [len(t) for t in value]}
         return arrays, meta
@@ -262,7 +261,7 @@ class WorkloadNode(ArtifactNode):
             ):
                 raise PipelineError(f"workload-traces: trace {i} ({name!r}) is inconsistent")
             outcomes = np.unpackbits(taken, count=count)
-            traces.append(Trace(branches[ids], outcomes, name=name))
+            traces.append(Trace.from_dictionary(branches, ids, outcomes, name=name))
         return traces
 
 

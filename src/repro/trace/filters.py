@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import TraceError
-from .stream import Trace
+from .stream import Trace, branch_id_dtype
 
 __all__ = [
     "select_pcs",
@@ -48,7 +48,7 @@ def select_where(trace: Trace, predicate: Callable[[int], bool]) -> Trace:
 
     The predicate is evaluated once per *static* branch, not per record.
     """
-    keep = [int(pc) for pc in np.unique(trace.pcs) if predicate(int(pc))]
+    keep = [int(pc) for pc in trace.static_pcs() if predicate(int(pc))]
     return select_pcs(trace, keep)
 
 
@@ -76,8 +76,7 @@ def sample_every(trace: Trace, stride: int, *, phase: int = 0) -> Trace:
 
 def remap_pcs(trace: Trace, mapping: Callable[[int], int]) -> Trace:
     """Apply ``mapping`` to every static PC."""
-    uniques = np.unique(trace.pcs)
-    table = {int(pc): int(mapping(int(pc))) for pc in uniques}
+    table = {int(pc): int(mapping(int(pc))) for pc in trace.static_pcs()}
     for old, new in table.items():
         if new < 0:
             raise TraceError(f"remapped pc for {old} is negative ({new})")
@@ -107,16 +106,27 @@ def merge_suite(traces: Sequence[Trace], *, name: str = "suite", pc_stride: int 
     """
     if pc_stride <= 0:
         raise TraceError("pc_stride must be positive")
-    shifted = []
-    for i, trace in enumerate(traces):
-        if len(trace) and int(trace.pcs.max()) >= pc_stride:
+    if not traces:
+        return Trace.empty(name=name)
+    dictionaries = [trace.dictionary() for trace in traces]
+    for i, (trace, (branches, _)) in enumerate(zip(traces, dictionaries)):
+        if len(branches) and int(branches[-1]) >= pc_stride:
             raise TraceError(
                 f"trace {trace.name or i} has pcs >= pc_stride {pc_stride}; "
                 "raise pc_stride"
             )
-        shifted.append(Trace(trace.pcs + i * pc_stride, trace.outcomes, name=trace.name))
-    if not shifted:
-        return Trace.empty(name=name)
-    pcs = np.concatenate([t.pcs for t in shifted])
-    outs = np.concatenate([t.outcomes for t in shifted])
-    return Trace(pcs, outs, name=name)
+    # The merged dictionary: each member's branches offset into its own
+    # region (so they stay sorted across members) and its ids by the
+    # branches before it.
+    branches = np.concatenate(
+        [member + i * pc_stride for i, (member, _) in enumerate(dictionaries)]
+    )
+    ids = np.empty(sum(len(trace) for trace in traces), dtype=branch_id_dtype(len(branches)))
+    record = first_id = 0
+    for member, member_ids in dictionaries:
+        part = ids[record : record + len(member_ids)]
+        np.add(member_ids, first_id, out=part, dtype=ids.dtype)
+        record += len(member_ids)
+        first_id += len(member)
+    outs = np.concatenate([trace.outcomes for trace in traces])
+    return Trace.from_dictionary(branches, ids, outs, name=name)

@@ -42,7 +42,7 @@ from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from ..errors import TraceFormatError
+from ..errors import TraceError, TraceFormatError
 from .stream import Trace
 
 __all__ = [
@@ -81,11 +81,40 @@ _CHUNK_RECORD = struct.Struct("<QQQQI")  # offset, pcs bytes, outcome bytes, cou
 _TRAILER = struct.Struct("<32sQ4s")  # file sha256, index offset, index magic
 
 
+#: Largest single read.  A length field can claim more than the stream
+#: holds, and a buffered read allocates the size it is asked for first.
+_READ_PIECE = 1 << 24
+
+
 def _read_exact(fp: BinaryIO, n: int, what: str) -> bytes:
-    data = fp.read(n)
+    pieces = []
+    remaining = n
+    while remaining > 0:
+        piece = fp.read(min(remaining, _READ_PIECE))
+        if not piece:
+            break
+        pieces.append(piece)
+        remaining -= len(piece)
+    data = b"".join(pieces)
     if len(data) != n:
         raise TraceFormatError(f"truncated {what}: expected {n} bytes, got {len(data)}")
     return data
+
+
+def _decode_name(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace name is not UTF-8: {exc}") from None
+
+
+def _decoded_trace(pcs: np.ndarray, outcomes: np.ndarray, name: str) -> Trace:
+    """A trace from decoded file columns: content the :class:`Trace`
+    constructor rejects (a PC with the top bit set) is a format error."""
+    try:
+        return Trace(pcs, outcomes, name=name)
+    except TraceError as exc:
+        raise TraceFormatError(f"bad trace payload: {exc}") from None
 
 
 def _pcs_bytes(trace: Trace) -> bytes:
@@ -164,13 +193,24 @@ def read_binary(fp: BinaryIO) -> Trace:
     if magic != MAGIC:
         raise TraceFormatError(f"bad magic {magic!r}; not a repro branch trace")
     if version == 1:
-        name = _read_exact(fp, name_len, "trace name").decode("utf-8")
-        pcs_raw = _read_exact(fp, count * 8, "pc payload")
+        name = _decode_name(_read_exact(fp, name_len, "trace name"))
         packed_len = (count + 7) // 8
+        if fp.seekable():
+            # Reject a count the stream cannot hold before reading it.
+            here = fp.tell()
+            available = fp.seek(0, os.SEEK_END) - here
+            fp.seek(here)
+            if available < count * 8 + packed_len:
+                short = "pc" if available < count * 8 else "outcome"
+                raise TraceFormatError(
+                    f"truncated {short} payload: {count} records need "
+                    f"{count * 8 + packed_len} bytes, {available} left"
+                )
+        pcs_raw = _read_exact(fp, count * 8, "pc payload")
         out_raw = _read_exact(fp, packed_len, "outcome payload")
         pcs = np.frombuffer(pcs_raw, dtype="<i8").astype(np.int64)
         outcomes = np.unpackbits(np.frombuffer(out_raw, dtype=np.uint8), count=count)
-        return Trace(pcs, outcomes, name=name)
+        return _decoded_trace(pcs, outcomes, name)
     if version == 2:
         # v2 needs the footer index; delegate to the chunk reader, which
         # validates the index against the header and concatenates.  The
@@ -376,12 +416,12 @@ class TraceReader:
                     f"bit-packed over the whole stream), got {self.chunk_len}"
                 )
             self.fingerprint = None
-            self.name = _read_exact(fp, name_len, "trace name").decode("utf-8")
+            self.name = _decode_name(_read_exact(fp, name_len, "trace name"))
             self._parse_v1(count, name_len)
         else:
             nominal = _V2_EXTRA.unpack(_read_exact(fp, _V2_EXTRA.size, "v2 header"))[0]
             self.chunk_len = int(nominal)
-            self.name = _read_exact(fp, name_len, "trace name").decode("utf-8")
+            self.name = _decode_name(_read_exact(fp, name_len, "trace name"))
             self._parse_v2(count)
         self._maybe_mmap()
 
@@ -503,7 +543,7 @@ class TraceReader:
         outcomes = np.unpackbits(
             np.frombuffer(out_raw, dtype=np.uint8), count=entry.count
         )
-        return Trace(pcs, outcomes, name=self.name)
+        return _decoded_trace(pcs, outcomes, self.name)
 
     def _read_v2_chunk(self, entry: _ChunkEntry, index: int) -> Trace:
         pcs_raw = self._payload(entry.offset, entry.pcs_bytes, "pc payload")
@@ -531,7 +571,7 @@ class TraceReader:
         outcomes = np.unpackbits(
             np.frombuffer(out_raw, dtype=np.uint8), count=entry.count
         )
-        return Trace(pcs, outcomes, name=self.name)
+        return _decoded_trace(pcs, outcomes, self.name)
 
     def __iter__(self) -> Iterator[Trace]:
         for index in range(len(self._chunks)):
@@ -623,6 +663,8 @@ def read_text(fp: TextIO) -> Trace:
             raise TraceFormatError(f"line {lineno}: non-integer field in {line!r}") from exc
         if taken not in (0, 1):
             raise TraceFormatError(f"line {lineno}: outcome must be 0 or 1, got {taken}")
+        if not 0 <= pc < 2**63:
+            raise TraceFormatError(f"line {lineno}: pc {pc} is not a non-negative int64")
         pcs.append(pc)
         outs.append(taken)
     return Trace(pcs, outs, name=name)

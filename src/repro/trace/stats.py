@@ -9,9 +9,12 @@ quantities the paper's classification is built on:
   from its own previous outcome (the numerator of the paper's new
   *branch transition rate* metric).
 
-The aggregation is a single vectorized pass (stable sort by PC, then
-grouped reductions), so profiling multi-million-record traces costs
-milliseconds rather than a Python-level loop per record.
+The aggregation reads the trace's branch dictionary
+(:meth:`~repro.trace.stream.Trace.dictionary`): executions and taken
+counts are bincounts over the branch ids, and transitions come from
+one stable sort of the narrow ids (a radix sort), so profiling
+multi-million-record traces costs milliseconds rather than a
+Python-level loop per record.
 """
 
 from __future__ import annotations
@@ -65,37 +68,29 @@ def transition_rate(transitions: int, executions: int) -> float:
     return transitions / (executions - 1)
 
 
-def _reduce_block(pcs: np.ndarray, outcomes: np.ndarray):
-    """Grouped per-PC reduction of one block of records.
+def _reduce_block(branches: np.ndarray, ids: np.ndarray, outcomes: np.ndarray):
+    """Per-branch reduction of one block of records, given its dictionary.
 
-    Returns ``(unique_pcs, executions, taken, transitions, first_outcome,
-    last_outcome)``, each aligned with the sorted unique PCs.  This is
-    the single vectorized core behind both :meth:`TraceStats.from_trace`
-    (one block = the whole trace) and :meth:`TraceStats.from_chunks`
-    (one block per chunk, merged with carried state).
+    Returns ``(executions, taken, transitions, first_outcome,
+    last_outcome)``, each aligned with ``branches`` (every branch has
+    at least one record).  This is the single vectorized core behind
+    both :meth:`TraceStats.from_trace` (one block = the whole trace)
+    and :meth:`TraceStats.from_chunks` (one block per chunk, merged
+    with carried state).
     """
-    n = len(pcs)
-    order = np.argsort(pcs, kind="stable")
-    sorted_pcs = pcs[order]
-    sorted_outs = outcomes[order].astype(np.int64)
-
-    unique_pcs, starts, counts = np.unique(
-        sorted_pcs, return_index=True, return_counts=True
-    )
-    taken_counts = np.add.reduceat(sorted_outs, starts)
-
-    # A "transition flag" at sorted position i (i >= 1) means record i
-    # differs from record i-1 *and* belongs to the same static branch.
-    # Group-local transition counts are then prefix-sum differences.
-    flags = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        same_pc = sorted_pcs[1:] == sorted_pcs[:-1]
-        changed = sorted_outs[1:] != sorted_outs[:-1]
-        flags[1:] = (same_pc & changed).astype(np.int64)
-    csum = np.cumsum(flags)
-    ends = starts + counts - 1
-    trans_counts = csum[ends] - csum[starts]
-    return unique_pcs, counts, taken_counts, trans_counts, sorted_outs[starts], sorted_outs[ends]
+    executions = np.bincount(ids, minlength=len(branches))
+    # Each branch's outcomes in time order, one group per branch.
+    sorted_outs = outcomes[np.argsort(ids, kind="stable")]
+    ends = np.cumsum(executions) - 1
+    starts = ends - executions + 1
+    taken = np.add.reduceat(sorted_outs, starts, dtype=np.int64)
+    # changes[k] = 1 when record k + 1 of the same group differs from
+    # record k; a group's last record has no successor in it.
+    changes = np.empty(len(ids), dtype=np.uint8)
+    np.not_equal(sorted_outs[1:], sorted_outs[:-1], out=changes[:-1])
+    changes[ends] = 0
+    transitions = np.add.reduceat(changes, starts, dtype=np.int64)
+    return executions, taken, transitions, sorted_outs[starts], sorted_outs[ends]
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,29 +165,26 @@ class TraceStats(Mapping[int, BranchStats]):
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceStats":
         """Aggregate a trace in one vectorized pass."""
-        if len(trace) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(empty, empty, empty, empty, name=trace.name)
-        unique_pcs, counts, taken_counts, trans_counts, _, _ = _reduce_block(
-            trace.pcs, trace.outcomes
-        )
-        return cls(unique_pcs, counts, taken_counts, trans_counts, name=trace.name)
+        branches, ids = trace.dictionary()
+        counts, taken_counts, trans_counts, _, _ = _reduce_block(branches, ids, trace.outcomes)
+        return cls(branches, counts, taken_counts, trans_counts, name=trace.name)
 
     @classmethod
     def from_chunks(cls, chunks, *, name: str | None = None) -> "TraceStats":
         """Aggregate an iterator of trace chunks with O(chunk) memory.
 
         Bit-identical to :meth:`from_trace` over the concatenated
-        chunks: per-chunk grouped reductions (the same
-        :func:`_reduce_block` pass) are merged into per-PC
-        accumulators, and each PC's *last outcome* is carried across
-        chunk boundaries so boundary-straddling transitions count
-        exactly once.  ``name`` defaults to the first chunk's name.
+        chunks: per-chunk reductions (the same :func:`_reduce_block`
+        pass, through each chunk's own dictionary) are merged into
+        per-PC accumulators, and each PC's *last outcome* is carried
+        across chunk boundaries so boundary-straddling transitions
+        count exactly once.  ``name`` defaults to the first chunk's
+        name.
         """
-        executions: dict[int, int] = {}
-        taken: dict[int, int] = {}
-        transitions: dict[int, int] = {}
-        last_outcome: dict[int, int] = {}
+        pcs = np.zeros(0, dtype=np.int64)
+        # Per PC on the sorted axis: executions, taken, transitions and
+        # the last outcome seen (-1 before its first chunk).
+        columns = np.zeros((4, 0), dtype=np.int64)
         resolved_name = name
 
         for chunk in chunks:
@@ -200,28 +192,25 @@ class TraceStats(Mapping[int, BranchStats]):
                 resolved_name = chunk.name
             if len(chunk) == 0:
                 continue
-            unique_pcs, counts, taken_counts, trans_counts, first_outs, last_outs = (
-                _reduce_block(chunk.pcs, chunk.outcomes)
+            branches, ids = chunk.dictionary()
+            counts, taken_counts, trans_counts, first_outs, last_outs = _reduce_block(
+                branches, ids, chunk.outcomes
             )
+            merged = np.union1d(pcs, branches)
+            if len(merged) > len(pcs):
+                # New PCs: move the columns onto the widened sorted axis.
+                grown = np.zeros((4, len(merged)), dtype=np.int64)
+                grown[3] = -1
+                grown[:, np.searchsorted(merged, pcs)] = columns
+                pcs, columns = merged, grown
+            rows = np.searchsorted(pcs, branches)
+            previous = columns[3, rows]
+            columns[0, rows] += counts
+            columns[1, rows] += taken_counts
+            columns[2, rows] += trans_counts + ((previous >= 0) & (previous != first_outs))
+            columns[3, rows] = last_outs
 
-            for i, pc in enumerate(unique_pcs.tolist()):
-                executions[pc] = executions.get(pc, 0) + int(counts[i])
-                taken[pc] = taken.get(pc, 0) + int(taken_counts[i])
-                extra = int(trans_counts[i])
-                previous = last_outcome.get(pc)
-                if previous is not None and previous != int(first_outs[i]):
-                    extra += 1
-                transitions[pc] = transitions.get(pc, 0) + extra
-                last_outcome[pc] = int(last_outs[i])
-
-        pcs = np.fromiter(sorted(executions), dtype=np.int64, count=len(executions))
-        return cls(
-            pcs,
-            np.fromiter((executions[pc] for pc in pcs.tolist()), dtype=np.int64, count=len(pcs)),
-            np.fromiter((taken[pc] for pc in pcs.tolist()), dtype=np.int64, count=len(pcs)),
-            np.fromiter((transitions[pc] for pc in pcs.tolist()), dtype=np.int64, count=len(pcs)),
-            name=resolved_name or "",
-        )
+        return cls(pcs, *columns[:3], name=resolved_name or "")
 
     # -- mapping protocol ---------------------------------------------------
 

@@ -7,6 +7,13 @@ vectorized simulation engine and the statistics pass operate without
 per-record Python objects, while still exposing a convenient
 record-at-a-time view for the reference engine and for tests.
 
+Every trace also has a *branch dictionary* (:meth:`Trace.dictionary`):
+its sorted distinct PCs and one id per record in the narrowest
+unsigned dtype (:func:`branch_id_dtype`).  Producers that already know
+it hand it over through :meth:`Trace.from_dictionary`; otherwise it is
+built once, on first use.  Profiling, storing and per-branch miss
+attribution all read it.
+
 :class:`TraceBuilder` is the mutable companion used by producers (the
 VM's branch hook, the synthetic workload generators) to accumulate
 records cheaply before freezing them into a :class:`Trace`.
@@ -22,7 +29,12 @@ import numpy as np
 from ..errors import TraceError
 from .record import BranchRecord
 
-__all__ = ["Trace", "TraceBuilder", "concat"]
+__all__ = ["Trace", "TraceBuilder", "branch_id_dtype", "concat"]
+
+
+def branch_id_dtype(num_branches: int) -> np.dtype:
+    """The narrowest unsigned dtype that numbers ``num_branches`` branches."""
+    return np.min_scalar_type(max(num_branches - 1, 0))
 
 
 class Trace:
@@ -40,7 +52,7 @@ class Trace:
         for reporting.
     """
 
-    __slots__ = ("_pcs", "_outcomes", "name")
+    __slots__ = ("_pcs", "_outcomes", "_dictionary", "name")
 
     def __init__(self, pcs, outcomes, *, name: str = "") -> None:
         pcs_arr = np.asarray(pcs, dtype=np.int64)
@@ -59,9 +71,56 @@ class Trace:
         out_arr.setflags(write=False)
         self._pcs = pcs_arr
         self._outcomes = out_arr
+        self._dictionary: tuple[np.ndarray, np.ndarray] | None = None
         self.name = name
 
+    def __reduce__(self):
+        # Rebuilt through the validating constructors, so an unpickled
+        # trace is read-only like any other and keeps its dictionary
+        # (which then travels instead of the PCs).
+        if self._dictionary is None:
+            return _unpickle, (self.name, self._outcomes, self._pcs, None)
+        return _unpickle, (self.name, self._outcomes, None, self._dictionary)
+
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def from_dictionary(cls, branches, ids, outcomes, *, name: str = "") -> "Trace":
+        """A trace given as its branch dictionary (see :meth:`dictionary`).
+
+        ``branches`` must be int64, non-negative and strictly
+        increasing; ``ids`` one per record, of the dtype
+        :func:`branch_id_dtype` gives for ``len(branches)``, each below
+        ``len(branches)``, and together using every branch, so the
+        dictionary is the one :meth:`dictionary` would build.  Raises
+        :class:`~repro.errors.TraceError` otherwise, or when the ids
+        and outcomes differ in length or an outcome is not 0/1.
+        """
+        branches = np.asarray(branches)
+        ids = np.asarray(ids)
+        if branches.ndim != 1 or ids.ndim != 1:
+            raise TraceError("branches and ids must be one-dimensional")
+        if branches.dtype != np.int64:
+            raise TraceError(f"branches must be int64, got {branches.dtype}")
+        if np.any(branches[1:] <= branches[:-1]):
+            raise TraceError("branches must be strictly increasing")
+        if len(branches) and branches[0] < 0:
+            raise TraceError("branch pcs must be non-negative")
+        if ids.dtype != branch_id_dtype(len(branches)):
+            raise TraceError(
+                f"ids for {len(branches)} branches must be "
+                f"{branch_id_dtype(len(branches))}, got {ids.dtype}"
+            )
+        uses = np.bincount(ids, minlength=len(branches))
+        if len(uses) > len(branches):
+            raise TraceError(f"an id is out of range for {len(branches)} branches")
+        if not uses.all():
+            raise TraceError("every branch must be used at least once")
+        trace = cls(branches[ids], outcomes, name=name)
+        branches.setflags(write=False)
+        ids.setflags(write=False)
+        trace._dictionary = (branches, ids)
+        return trace
 
     @classmethod
     def from_records(cls, records: Iterable[BranchRecord], *, name: str = "") -> "Trace":
@@ -99,6 +158,25 @@ class Trace:
     def outcomes(self) -> np.ndarray:
         """Read-only ``uint8`` array of outcomes (1 = taken)."""
         return self._outcomes
+
+    def dictionary(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trace's branch dictionary ``(branches, ids)``.
+
+        ``branches`` holds the sorted distinct PCs (int64) and ``ids``
+        one id per record (``pcs == branches[ids]``) in the narrowest
+        unsigned dtype (:func:`branch_id_dtype`).  Both are read-only;
+        the pair is built on first use unless the producer supplied it.
+        """
+        dictionary = self._dictionary
+        if dictionary is None:
+            # Two threads may both build it on first use; that is
+            # harmless, because both results are equal and read-only.
+            branches, ids = np.unique(self._pcs, return_inverse=True)
+            ids = ids.astype(branch_id_dtype(len(branches)))
+            branches.setflags(write=False)
+            ids.setflags(write=False)
+            dictionary = self._dictionary = (branches, ids)
+        return dictionary
 
     # -- sequence protocol -------------------------------------------------
 
@@ -147,9 +225,7 @@ class Trace:
     @property
     def num_static_branches(self) -> int:
         """Number of distinct static branch PCs in the trace."""
-        if not len(self):
-            return 0
-        return int(len(np.unique(self._pcs)))
+        return len(self.dictionary()[0])
 
     @property
     def num_taken(self) -> int:
@@ -164,14 +240,16 @@ class Trace:
         return self.num_taken / len(self)
 
     def static_pcs(self) -> np.ndarray:
-        """Sorted array of distinct static branch PCs."""
-        return np.unique(self._pcs)
+        """Sorted read-only array of distinct static branch PCs."""
+        return self.dictionary()[0]
 
     # -- combinators ---------------------------------------------------------
 
     def with_name(self, name: str) -> "Trace":
-        """A view of the same data under a different label."""
-        return Trace(self._pcs, self._outcomes, name=name)
+        """A view of the same data (and dictionary) under a different label."""
+        trace = Trace(self._pcs, self._outcomes, name=name)
+        trace._dictionary = self._dictionary
+        return trace
 
     def head(self, n: int) -> "Trace":
         """The first ``n`` records (or fewer if the trace is shorter)."""
@@ -187,6 +265,12 @@ class Trace:
         :func:`repro.trace.filters.interleave` for the offsetting helper).
         """
         return concat([self, other], name=self.name if name is None else name)
+
+
+def _unpickle(name: str, outcomes, pcs, dictionary) -> Trace:
+    if dictionary is None:
+        return Trace(pcs, outcomes, name=name)
+    return Trace.from_dictionary(*dictionary, outcomes, name=name)
 
 
 def concat(traces: Sequence[Trace], *, name: str = "") -> Trace:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ...classify.classes import NUM_CLASSES, class_bounds
 from ...errors import ConfigurationError
-from ...trace.stream import Trace
+from ...trace.stream import Trace, branch_id_dtype
 from .models import BranchModel, MarkovModel, PatternModel, pattern_for_rates
 
 __all__ = ["BranchSpec", "BranchPopulation", "population_from_joint"]
@@ -176,12 +176,20 @@ class BranchPopulation:
         cycle = len(self._schedule)
         reps = n // cycle + 1
         slots = np.tile(self._schedule, reps)[:n]
-
-        pcs = np.asarray([s.pc for s in self.specs], dtype=np.int64)[slots]
         outcomes = np.zeros(n, dtype=np.uint8)
 
         root = np.random.default_rng(self.seed + 0x9E3779B9)
         counts = np.bincount(slots, minlength=len(self.specs))
+
+        # The trace's branch dictionary comes from the slots: the PCs of
+        # the specs scheduled at least once, sorted (equal PCs share one
+        # id), numbered per spec and looked up per record.
+        used = np.flatnonzero(counts)
+        spec_pcs = np.asarray([s.pc for s in self.specs], dtype=np.int64)
+        branches, used_ids = np.unique(spec_pcs[used], return_inverse=True)
+        id_of_spec = np.zeros(len(self.specs), dtype=branch_id_dtype(len(branches)))
+        id_of_spec[used] = used_ids
+
         # The trace repeats the schedule, so one stable sort of a single
         # cycle gives each branch's offsets in it; shifted into every
         # cycle, they are its positions in time order.
@@ -206,7 +214,7 @@ class BranchPopulation:
                 continue
             at = positions(i)
             outcomes[at] = outcomes[at - 1]
-        return Trace(pcs, outcomes, name=name or self.name)
+        return Trace.from_dictionary(branches, id_of_spec[slots], outcomes, name=name or self.name)
 
 
 def population_from_joint(

@@ -1,8 +1,10 @@
 """Tests for repro.trace.stats — the taken/transition aggregation pass."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
@@ -172,6 +174,37 @@ def test_vectorized_aggregation_matches_oracle(pairs):
     for pc, (n, taken, trans) in oracle.items():
         b = s[pc]
         assert (b.executions, b.taken, b.transitions) == (n, taken, trans)
+
+
+# An example past the uint16 boundary runs the slow oracle over 65k
+# records (~0.3 s), so this test bounds its own example count in every
+# hypothesis profile.
+@settings(deadline=None, max_examples=40)
+@given(
+    distinct=st.sampled_from([0, 1, 255, 256, 257, 65_535, 65_536, 65_537]),
+    extra=st.integers(0, 400),
+    cuts=st.lists(st.floats(0, 1), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aggregation_matches_oracle_at_id_dtype_boundaries(distinct, extra, cuts, seed):
+    """The oracle again, with branch counts on both sides of each id
+    dtype boundary (uint8/uint16/uint32), whole and split into chunks."""
+    rng = np.random.default_rng(seed)
+    pcs = rng.permutation(np.unique(rng.integers(0, 2**40, distinct + 64))[:distinct])
+    extra = extra if distinct else 0
+    slots = np.concatenate([np.arange(distinct), rng.integers(0, distinct or 1, extra)])
+    slots = rng.permutation(slots)
+    trace = Trace(pcs[slots], rng.integers(0, 2, len(slots)))
+    oracle = reference_stats(zip(trace.pcs.tolist(), trace.outcomes.tolist()))
+    want_pcs = np.fromiter(oracle, dtype=np.int64, count=len(oracle))
+    counts = itertools.chain.from_iterable(oracle.values())
+    want = np.fromiter(counts, dtype=np.int64, count=3 * len(oracle)).reshape(-1, 3)
+    order = np.argsort(want_pcs)
+    bounds = sorted(int(cut * len(trace)) for cut in cuts)
+    chunks = [trace[a:b] for a, b in zip([0, *bounds], [*bounds, len(trace)])]
+    for s in (TraceStats.from_trace(trace), TraceStats.from_chunks(chunks)):
+        assert np.array_equal(s.pcs, want_pcs[order])
+        assert np.array_equal(np.column_stack([s.executions, s.taken, s.transitions]), want[order])
 
 
 @given(
