@@ -2,9 +2,12 @@
 
 Measures the ``REPRO_ENGINE_BACKEND`` layer (see docs/PERFORMANCE.md):
 
-* per-record kernel throughput for every *available* backend on one
+* per-record throughput for every *available* backend on one
   reference-path family (YAGS) plus the stateful reference loop — the
-  compiled backends must be ≥ 4× the reference path;
+  ``cext`` kernel must be ≥ 4× the reference path; the ``python``
+  backend steps the stateful predictor itself (the oracle's stream),
+  so ``[python]`` times the same loop as ``[reference]`` through the
+  carrier and its per-branch attribution;
 * the paper's 34-configuration sweep on the two-level carrier under
   each backend — the C ``sweep_step`` kernel must be ≥ 3× the numpy
   scans it replaces as the default, in the same run.
@@ -60,7 +63,7 @@ def test_backends_bit_identical(trace, yags_reference):
 
 @pytest.mark.parametrize("backend", ["reference", *available_backends()])
 def test_backend_throughput(benchmark, trace, yags_reference, backend):
-    """Per-record YAGS throughput: reference loop vs each kernel backend."""
+    """Per-record YAGS throughput: the reference loop and each backend."""
     benchmark.group = "backend-throughput"
     spec = YagsSpec()
     if backend == "reference":

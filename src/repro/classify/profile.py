@@ -71,7 +71,7 @@ class ProfileTable(Mapping[int, BranchProfile]):
         self._transition_rates = stats.transition_rates()
         self._taken_classes = rate_classes(self._taken_rates)
         self._transition_classes = rate_classes(self._transition_rates)
-        self._index = {int(pc): i for i, pc in enumerate(self._pcs)}
+        self._index = stats._index  # the same pcs, row for row
         self.name = stats.name
 
     @classmethod

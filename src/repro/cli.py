@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help=(
-            "kernel backend of the two-level carrier and the compiled "
+            "kernel backend of the two-level carrier and the "
             "per-record families (default: $REPRO_ENGINE_BACKEND or auto; "
             "see docs/PERFORMANCE.md)"
         ),

@@ -16,8 +16,9 @@ carriers (:func:`stream_simulator`, :class:`~repro.engine.batched.BatchedStream`
     state between chunks: the two-level family (many configurations in
     one pass) runs a compiled sweep kernel or, without a C compiler,
     segmented-scan arrays; agree, tournament, class-routed hybrids and
-    static predictors run arrays; YAGS/bi-mode/filter/DHLF run compiled
-    per-record kernels (:mod:`repro.engine.backend`).
+    static predictors run arrays; YAGS/bi-mode/filter/DHLF run C
+    per-record kernels or, without a C compiler, the stateful
+    predictors (:mod:`repro.engine.backend`).
     The streamed entry points (:func:`simulate_stream`,
     :func:`simulate_batched_stream`, :func:`simulate_sweep_stream`)
     feed them an iterator of chunks with peak memory O(chunk); the
@@ -111,13 +112,13 @@ def simulate(
     trace:
         Branch stream in program order.
     engine:
-        ``"auto"`` (the array carrier when supported, compiled
-        per-record kernels for the YAGS/bi-mode/filter/DHLF families,
-        reference otherwise), ``"vectorized"`` (error if unsupported),
-        ``"batched"`` (two-level family only; a one-configuration
-        batch), or ``"reference"`` (the oracle).
+        ``"auto"`` (the array carrier when supported, C per-record
+        kernels for the YAGS/bi-mode/filter/DHLF families on the
+        ``cext`` backend, reference otherwise), ``"vectorized"`` (error
+        if unsupported), ``"batched"`` (two-level family only; a
+        one-configuration batch), or ``"reference"`` (the oracle).
     backend:
-        Kernel implementation of the two-level carrier and the compiled
+        Kernel implementation of the two-level carrier and the
         per-record families (``python``/``cext``/``auto``; see
         :mod:`repro.engine.backend` and docs/PERFORMANCE.md).  Default:
         ``REPRO_ENGINE_BACKEND``, else auto-detect.

@@ -8,15 +8,17 @@ runs the paper's history sweep) advances every configuration over a
 chunk.  This module picks *how* those loops run:
 
 ``python``
-    The per-record families run the :mod:`repro.engine.compiled.kernels`
-    loops interpreted by CPython; the two-level carrier runs its numpy
-    scans.  Always available; bit-identical to the stateful reference
-    predictors.
+    No compiled code: the two-level carrier runs its numpy scans, and
+    the per-record families step the stateful predictors themselves
+    (the oracle's stream,
+    :class:`~repro.engine.streaming._ReferenceStream`).  Always
+    available.
 ``cext``
     C built on demand with the host C compiler and loaded through
     ctypes (:mod:`repro.engine.compiled.cext`): a transliteration of
-    each per-record kernel, and the ``sweep_step`` kernel of the
-    two-level carrier.  Available when a working compiler is found.
+    each per-record family's predictor, and the ``sweep_step`` kernel
+    of the two-level carrier.  Available when a working compiler is
+    found.
 ``auto``
     The fastest available: ``cext``, else ``python``.
 
@@ -42,7 +44,7 @@ from ..predictors.dhlf import DhlfPredictor
 from ..predictors.filter import FilterPredictor
 from ..predictors.twolevel import TwoLevelPredictor
 from ..predictors.yags import YagsPredictor
-from .compiled import cext, kernels
+from .compiled import cext
 
 __all__ = [
     "BACKENDS",
@@ -55,8 +57,6 @@ __all__ = [
 #: Recognised values of ``REPRO_ENGINE_BACKEND`` / ``--backend``.
 BACKENDS = ("auto", "python", "cext")
 
-_KERNEL_NAMES = ("yags_step", "bimode_step", "filter_step", "dhlf_step")
-
 
 def backend_availability() -> dict[str, tuple[bool, str]]:
     """``{backend: (usable, reason)}`` for every concrete backend.
@@ -65,7 +65,11 @@ def backend_availability() -> dict[str, tuple[bool, str]]:
     compile of the C kernels.
     """
     return {
-        "python": (True, "interpreted kernels and numpy sweep scans (always available)"),
+        "python": (
+            True,
+            "numpy scans for the two-level family; the stateful predictors for "
+            "YAGS, bi-mode, filter and DHLF (always available)",
+        ),
         "cext": cext.available(),
     }
 
@@ -74,8 +78,8 @@ def resolve_backend(backend: str | None = None) -> str:
     """The concrete backend to use: ``python`` or ``cext``.
 
     ``None`` defers to ``REPRO_ENGINE_BACKEND`` (default ``auto``).
-    ``auto`` prefers the C extension, then the interpreted kernels;
-    naming an unavailable backend raises.
+    ``auto`` prefers the C extension, then ``python``; naming an
+    unavailable backend raises.
     """
     if backend is None:
         backend = os.environ.get("REPRO_ENGINE_BACKEND", "auto") or "auto"
@@ -92,14 +96,8 @@ def resolve_backend(backend: str | None = None) -> str:
     return backend
 
 
-def _kernel_table(resolved: str) -> dict[str, object]:
-    if resolved == "python":
-        return {name: getattr(kernels, name) for name in _KERNEL_NAMES}
-    return cext.load()
-
-
 def supports_compiled(predictor) -> bool:
-    """True if ``predictor`` has a compiled per-record kernel.
+    """True if ``predictor`` has a C per-record kernel.
 
     Filter predictors qualify only over two-level/bimodal backings
     (other backings keep the object-based reference stream).
@@ -224,20 +222,21 @@ def _dhlf_stream(predictor: DhlfPredictor, kernel) -> _KernelStream:
     # A fresh DhlfPredictor immediately pops exploration length 0, so
     # the kernel starts at [ghr=0, length=0, misses=0, count=0,
     # exploit_remaining=0, next_explore=1].
-    regs = np.zeros(kernels.DHLF_REGS, dtype=np.int64)
-    regs[kernels.DHLF_NEXT_EXPLORE] = 1
+    regs = np.zeros(cext.DHLF_REGS, dtype=np.int64)
+    regs[cext.DHLF_NEXT_EXPLORE] = 1
     return _KernelStream(kernel, regs, params, state)
 
 
 def compiled_stream(predictor, backend: str | None = None):
-    """A kernel-backed chunk stream for ``predictor``, or None when the
-    family has no compiled kernel (caller falls back to the reference
-    stream).  The stream always starts from reset state, like every
-    carrier in :mod:`repro.engine.streaming`.
+    """A C-kernel chunk stream for ``predictor``, or None when the
+    family has no C kernel or ``backend`` resolves to ``python`` (the
+    caller then steps the stateful predictor itself).  The stream
+    always starts from reset state, like every carrier in
+    :mod:`repro.engine.streaming`.
     """
-    if not supports_compiled(predictor):
+    if not supports_compiled(predictor) or resolve_backend(backend) != "cext":
         return None
-    table = _kernel_table(resolve_backend(backend))
+    table = cext.load()
     if isinstance(predictor, YagsPredictor):
         return _yags_stream(predictor, table["yags_step"])
     if isinstance(predictor, BiModePredictor):

@@ -38,7 +38,7 @@ picks one of two paths:
   3. **Scans stack.**  Every unique configuration's PHT sits in one
      flat table, so several configurations' (PHT index, outcome)
      streams share one stable sort and one segmented scan; stacks are
-     chunked (``max_chunk_elements``) to bound peak memory.
+     chunked (:data:`MAX_CHUNK_ELEMENTS`) to bound peak memory.
 
 A single two-level predictor is a one-configuration batch.  The
 in-memory entry points (:func:`simulate_batched`,
@@ -78,12 +78,12 @@ __all__ = [
     "supports_batched",
 ]
 
-#: Default bound on elements per stacked scan.  Small chunks win twice:
-#: the sort/scan working set stays cache-resident, and short traces
-#: still stack many configurations per chunk so the doubling passes
-#: amortize across the sweep (measured optimum ~128k elements; larger
-#: chunks only add memory traffic).
-DEFAULT_MAX_CHUNK_ELEMENTS = 1 << 17
+#: Bound on elements per stacked scan of the numpy path.  Small chunks
+#: win twice: the sort/scan working set stays cache-resident, and short
+#: traces still stack many configurations per chunk so the doubling
+#: passes amortize across the sweep (measured optimum ~128k elements;
+#: larger chunks only add memory traffic).
+MAX_CHUNK_ELEMENTS = 1 << 17
 
 
 def supports_batched(predictor) -> bool:
@@ -475,20 +475,16 @@ class BatchedStream:
         and stacked counter scans shared across the batch.  Carried
         state: history registers at the *longest* requested length per
         geometry, and one PHT per unique configuration, built only when
-        a second chunk reads it.  ``max_chunk_elements`` bounds each
-        stacked scan.
+        a second chunk reads it.  :data:`MAX_CHUNK_ELEMENTS` bounds
+        each stacked scan.
     """
 
     def __init__(
         self,
         predictors,
         *,
-        max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
         backend: str | None = None,
     ) -> None:
-        if max_chunk_elements < 1:
-            raise ConfigurationError("max_chunk_elements must be positive")
-        self.max_chunk_elements = max_chunk_elements
         specs = [_spec_of(p) for p in predictors]
 
         # Unique configurations, their PHTs laid end to end in one table.
@@ -584,7 +580,7 @@ class BatchedStream:
         by_counter_bits: dict[int, list[int]] = {}
         for slot, s in enumerate(self._unique):
             by_counter_bits.setdefault(s.counter_bits, []).append(slot)
-        per_chunk = max(1, self.max_chunk_elements // n)
+        per_chunk = max(1, MAX_CHUNK_ELEMENTS // n)
         for counter_bits, slots in by_counter_bits.items():
             for start in range(0, len(slots), per_chunk):
                 group = slots[start : start + per_chunk]
@@ -636,45 +632,33 @@ def predictions_batched(
     predictors,
     trace: Trace,
     *,
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     backend: str | None = None,
 ) -> list[np.ndarray]:
     """Per-step predictions (uint8, 1 = taken) for many two-level
     predictors over one trace, fed to a :class:`BatchedStream` as one
     chunk.  Duplicated geometries are simulated once and share one
-    array; ``max_chunk_elements`` bounds ``configs × len(trace)`` per
-    stacked scan of the ``python`` backend.
+    array.
     """
-    return BatchedStream(
-        predictors, max_chunk_elements=max_chunk_elements, backend=backend
-    ).feed(trace.pcs, trace.outcomes)
+    return BatchedStream(predictors, backend=backend).feed(trace.pcs, trace.outcomes)
 
 
 def simulate_batched(
     predictors,
     trace: Trace,
     *,
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     backend: str | None = None,
 ) -> list[SimulationResult]:
     """Cold-start simulation of many two-level predictors with per-PC
     attribution: :func:`simulate_batched_stream` over the trace as one
     chunk.  Each result is exactly what ``simulate_reference`` would
     produce for that predictor."""
-    return simulate_batched_stream(
-        predictors,
-        [trace],
-        max_chunk_elements=max_chunk_elements,
-        backend=backend,
-        trace_name=trace.name,
-    )
+    return simulate_batched_stream(predictors, [trace], backend=backend, trace_name=trace.name)
 
 
 def simulate_batched_stream(
     predictors,
     chunks: Iterable,
     *,
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     backend: str | None = None,
     trace_name: str | None = None,
 ) -> list[SimulationResult]:
@@ -688,7 +672,7 @@ def simulate_batched_stream(
     :class:`BatchedStream`); the results do not depend on it.
     """
     predictors = list(predictors)
-    carrier = BatchedStream(predictors, max_chunk_elements=max_chunk_elements, backend=backend)
+    carrier = BatchedStream(predictors, backend=backend)
     return _attribute_chunks(carrier.misses, predictors, chunks, trace_name)
 
 
@@ -743,7 +727,6 @@ def simulate_sweep(
     *,
     kinds=("pas", "gas"),
     history_lengths=tuple(HISTORY_LENGTHS),
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     backend: str | None = None,
 ) -> BatchedSweepResult:
     """Simulate the paper's PAs/GAs sweep over ``trace`` in one pass.
@@ -756,7 +739,6 @@ def simulate_sweep(
         [trace],
         kinds=kinds,
         history_lengths=history_lengths,
-        max_chunk_elements=max_chunk_elements,
         backend=backend,
         trace_name=trace.name,
     )
@@ -767,7 +749,6 @@ def simulate_sweep_stream(
     *,
     kinds=("pas", "gas"),
     history_lengths=None,
-    max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
     backend: str | None = None,
     trace_name: str | None = None,
 ) -> BatchedSweepResult:
@@ -784,7 +765,6 @@ def simulate_sweep_stream(
     results = simulate_batched_stream(
         [paper_predictor(kind, k) for kind, k in keys],
         chunks,
-        max_chunk_elements=max_chunk_elements,
         backend=backend,
         trace_name=trace_name,
     )

@@ -1,4 +1,4 @@
-"""C mirror of :mod:`.kernels`, built on demand with the host compiler.
+"""The C kernels, built on demand with the host compiler.
 
 No third-party dependency and no build at install time: the first use
 compiles the embedded C source with the system compiler (``$CC``,
@@ -12,14 +12,16 @@ compiler, sandboxed tmpdir, unloadable object, a wrong smoke answer —
 marks the backend unavailable and the caller falls back; nothing
 raises at import time.
 
-The per-record C functions are line-for-line transliterations of the
-Python kernels; both are pinned bit-identical to the reference
-predictors by ``tests/test_engine_backend.py``.  ``sweep_step`` and
-``sweep_count`` have no Python twin: they advance every configuration
-of the two-level carrier over one chunk, the first writing each
-configuration's predictions, the second adding each configuration's
-misses per branch; the carrier's numpy path is what they are tested
-against (``tests/test_engine_batched.py``).
+The per-record C functions (``yags_step``, ``bimode_step``,
+``filter_step``, ``dhlf_step``) transliterate the stateful predictors
+in :mod:`repro.predictors` over flat array state, one chunk per call;
+``tests/test_engine_backend.py`` pins them bit-identical to
+:func:`~repro.engine.reference.simulate_reference`.  ``sweep_step`` and
+``sweep_count`` advance every configuration of the two-level carrier
+over one chunk, the first writing each configuration's predictions,
+the second adding each configuration's misses per branch; they are
+tested against the carrier's numpy path and the oracle
+(``tests/test_engine_batched.py``).
 
 Every call is checked before it reaches C: each array must have its
 parameter's dtype and be C-contiguous (and writeable where C writes),
@@ -333,6 +335,21 @@ _READ_ONLY = {
 
 #: Flags of every build; part of the shared object's cache key.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-fvisibility=hidden")
+
+#: ``regs`` slot of ``yags_step``, ``bimode_step`` and ``filter_step``:
+#: the (global) history register.
+HIST = 0
+
+#: ``regs`` slots of ``dhlf_step``: the global history register, the
+#: current history length, the current interval's misses and records,
+#: the exploit intervals left, and the next length to explore.
+DHLF_GHR = 0
+DHLF_LENGTH = 1
+DHLF_INTERVAL_MISSES = 2
+DHLF_INTERVAL_COUNT = 3
+DHLF_EXPLOIT_REMAINING = 4
+DHLF_NEXT_EXPLORE = 5
+DHLF_REGS = 6
 
 #: ``params`` columns of one :func:`sweep_step` configuration, after the
 #: leading configuration count: per-address history (0/1), history bits,

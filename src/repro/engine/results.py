@@ -75,7 +75,7 @@ class SimulationResult(Mapping[int, BranchResult]):
             raise TraceError("counts must be non-negative")
         for arr in (self._pcs, self._executions, self._mispredictions):
             arr.setflags(write=False)
-        self._index = {int(pc): i for i, pc in enumerate(self._pcs)}
+        self._index = dict(zip(self._pcs.tolist(), range(len(self._pcs))))
         self.predictor_name = predictor_name
         self.trace_name = trace_name
 

@@ -27,8 +27,9 @@ What each family carries between chunks:
   sub-stream statically routed to it (exactly what it sees under the
   reference engine);
 * **static** — nothing (per-PC lookups);
-* **YAGS / bi-mode / filter / DHLF** — the flat state of a compiled
-  per-record kernel (:mod:`repro.engine.backend`);
+* **YAGS / bi-mode / filter / DHLF** — on the ``cext`` backend, the
+  flat state of a C per-record kernel (:mod:`repro.engine.backend`);
+  on ``python``, the stateful predictor object itself;
 * **anything else** — the stateful predictor object itself.
 
 Every carrier is **bit-identical** to
@@ -323,13 +324,14 @@ def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = N
     Its ``feed(pcs, outcomes)`` yields the per-step predictions for one
     chunk, carrying all predictor state to the next call.  ``engine``
     mirrors :func:`repro.engine.simulate`: ``"auto"`` picks the array
-    carrier when :func:`supports_vectorized`, a compiled per-record
-    kernel (:mod:`repro.engine.backend`) when the family has one, and
-    the stateful reference predictor otherwise; ``"vectorized"`` and
-    ``"batched"`` insist on the array and the two-level carriers.
-    ``backend`` selects the kernels of the two-level carriers and of
-    the compiled per-record families (default: ``REPRO_ENGINE_BACKEND``,
-    else auto-detect); components of a tournament or hybrid inherit it.
+    carrier when :func:`supports_vectorized`, a C per-record kernel
+    (:func:`~repro.engine.backend.compiled_stream`) when the family has
+    one and the backend is ``cext``, and the stateful reference
+    predictor otherwise; ``"vectorized"`` and ``"batched"`` insist on
+    the array and the two-level carriers.  ``backend`` selects the
+    kernels of the two-level carriers and of the per-record families
+    (default: ``REPRO_ENGINE_BACKEND``, else auto-detect); components
+    of a tournament or hybrid inherit it.
     """
     if engine == "reference":
         return _ReferenceStream(predictor)
@@ -378,7 +380,7 @@ def simulate_stream(
     :class:`~repro.trace.stream.Trace` objects (e.g. a
     :class:`~repro.trace.io.TraceReader`) or ``(pcs, outcomes)`` pairs.
     ``backend`` picks the kernels of the two-level carrier and the
-    compiled per-record families (see :mod:`repro.engine.backend`).
+    per-record families (see :mod:`repro.engine.backend`).
     """
     from ..spec import build_predictor  # lazy: spec imports engine
 

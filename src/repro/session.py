@@ -22,9 +22,9 @@ frozen :class:`~repro.spec.PredictorSpec` descriptions) and the session
    :func:`~repro.engine.simulate_batched` invocation (one
    multi-configuration carrier), while the remaining specs route to
    the vectorized engine when supported and otherwise to the engine's
-   ``auto`` route: the family's compiled per-record kernel when it has
-   one (YAGS, bi-mode, filter, DHLF), else the stateful predictor
-   stepped record by record;
+   ``auto`` route: the family's C per-record kernel when it has one
+   (YAGS, bi-mode, filter, DHLF) and the backend is ``cext``, else the
+   stateful predictor stepped record by record;
 3. **memoizes** — results are cached for the lifetime of the session,
    so resubmitting a job after :meth:`Session.run` costs nothing.
 
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 from .engine import simulate, simulate_batched, simulate_batched_stream, simulate_stream
 from .engine.backend import BACKENDS
-from .engine.batched import DEFAULT_MAX_CHUNK_ELEMENTS, check_batched
+from .engine.batched import check_batched
 from .engine.results import SimulationResult
 from .errors import ConfigurationError
 from .spec import (
@@ -277,14 +277,11 @@ class Session:
         Default engine request for submitted jobs.  ``"auto"`` lets the
         planner choose (batched for two-level-family specs, vectorized
         when supported, the engine's own ``auto`` route otherwise —
-        compiled kernels where the family has them); ``"batched"``,
+        C kernels where the family has them); ``"batched"``,
         ``"vectorized"`` and ``"reference"`` force that engine.
-    max_chunk_elements:
-        Memory bound forwarded to the batched engine's ``python``
-        backend.
     backend:
-        Kernel backend of the two-level carrier and the compiled
-        per-record families (``auto``/``python``/``cext``; see
+        Kernel backend of the two-level carrier and the per-record
+        families (``auto``/``python``/``cext``; see
         :mod:`repro.engine.backend`).  ``None`` defers to
         ``REPRO_ENGINE_BACKEND``.  Backends are bit-identical, so the
         session memo is unaffected by this choice.
@@ -299,17 +296,13 @@ class Session:
         self,
         *,
         engine: str = "auto",
-        max_chunk_elements: int = DEFAULT_MAX_CHUNK_ELEMENTS,
         backend: str | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ConfigurationError(f"engine {engine!r} not in {ENGINES}")
-        if max_chunk_elements < 1:
-            raise ConfigurationError("max_chunk_elements must be positive")
         if backend is not None and backend not in BACKENDS:
             raise ConfigurationError(f"backend {backend!r} not in {BACKENDS}")
         self.engine = engine
-        self.max_chunk_elements = max_chunk_elements
         self.backend = backend
         self._pending: list[SimulationJob] = []
         self._submitted = 0
@@ -476,7 +469,6 @@ class Session:
                     results = simulate_batched_stream(
                         [entry.spec.build() for entry in fresh],
                         streamed.chunks(),
-                        max_chunk_elements=self.max_chunk_elements,
                         backend=self.backend,
                         trace_name=streamed.name,
                     )
@@ -496,7 +488,6 @@ class Session:
                 results = simulate_batched(
                     [entry.spec.build() for entry in fresh],
                     batch.trace,
-                    max_chunk_elements=self.max_chunk_elements,
                     backend=self.backend,
                 )
                 for entry, result in zip(fresh, results):

@@ -28,18 +28,27 @@ __all__ = [
     "merge_suite",
 ]
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _pc_set(pcs: Iterable[int]) -> np.ndarray:
+    """The distinct ``pcs``, sorted, as int64; raises
+    :class:`~repro.errors.TraceError` for a value outside int64."""
+    values = sorted(set(int(p) for p in pcs))
+    if values and not (_INT64.min <= values[0] and values[-1] <= _INT64.max):
+        raise TraceError("pcs must fit in int64")
+    return np.asarray(values, dtype=np.int64)
+
 
 def select_pcs(trace: Trace, pcs: Iterable[int]) -> Trace:
     """Keep only records whose PC is in ``pcs`` (order preserved)."""
-    wanted = np.asarray(sorted(set(int(p) for p in pcs)), dtype=np.int64)
-    mask = np.isin(trace.pcs, wanted)
+    mask = np.isin(trace.pcs, _pc_set(pcs))
     return Trace(trace.pcs[mask], trace.outcomes[mask], name=trace.name)
 
 
 def exclude_pcs(trace: Trace, pcs: Iterable[int]) -> Trace:
     """Drop all records whose PC is in ``pcs``."""
-    unwanted = np.asarray(sorted(set(int(p) for p in pcs)), dtype=np.int64)
-    mask = ~np.isin(trace.pcs, unwanted)
+    mask = ~np.isin(trace.pcs, _pc_set(pcs))
     return Trace(trace.pcs[mask], trace.outcomes[mask], name=trace.name)
 
 
@@ -88,8 +97,12 @@ def remap_pcs(trace: Trace, mapping: Callable[[int], int]) -> Trace:
 
 def offset_pcs(trace: Trace, offset: int) -> Trace:
     """Shift every PC by a constant offset."""
+    if not _INT64.min <= offset <= _INT64.max:
+        raise TraceError("offset must fit in int64")
     if len(trace) and int(trace.pcs.min()) + offset < 0:
         raise TraceError("offset would produce negative pcs")
+    if len(trace) and int(trace.pcs.max()) + offset > _INT64.max:
+        raise TraceError("offset would push pcs past the int64 maximum")
     return Trace(trace.pcs + offset, trace.outcomes, name=trace.name)
 
 

@@ -157,7 +157,7 @@ class TraceStats(Mapping[int, BranchStats]):
             raise TraceError("statistic columns must have equal length")
         for arr in (self._pcs, self._executions, self._taken, self._transitions):
             arr.setflags(write=False)
-        self._index = {int(pc): i for i, pc in enumerate(self._pcs)}
+        self._index = dict(zip(self._pcs.tolist(), range(len(self._pcs))))
         self.name = name
 
     # -- construction ---------------------------------------------------

@@ -1,11 +1,12 @@
 """Bit-identity and selection contract of the compiled kernel backends.
 
 The acceptance contract of the ``REPRO_ENGINE_BACKEND`` layer: for
-every available backend, every reference-path family (YAGS, bi-mode,
+every available backend, every per-record family (YAGS, bi-mode,
 filter, DHLF) and every chunk split — including one record per chunk
-and one chunk for the whole trace — the compiled per-record kernels
-produce byte-identical predictions to the stateful reference
-predictors.  Selection rules (explicit argument > environment > auto,
+and one chunk for the whole trace — the family's carrier (its C
+kernel on ``cext``, the stateful predictor on ``python``) produces
+byte-identical predictions to the stateful reference predictors.
+Selection rules (explicit argument > environment > auto,
 unavailable-by-name raises, ``python`` always works) are pinned here
 too; docs/PERFORMANCE.md documents the same matrix for users.
 """
@@ -16,6 +17,7 @@ import pytest
 from repro.engine import simulate, simulate_stream
 from repro.engine.backend import (
     BACKENDS,
+    _KernelStream,
     backend_availability,
     compiled_stream,
     resolve_backend,
@@ -23,7 +25,7 @@ from repro.engine.backend import (
 )
 from repro.engine.batched import BatchedStream
 from repro.engine.compiled import cext
-from repro.engine.streaming import stream_simulator
+from repro.engine.streaming import _ReferenceStream, stream_simulator
 from repro.errors import ConfigurationError
 from repro.session import Session
 from repro.spec import (
@@ -106,8 +108,11 @@ class TestKernelBitIdentity:
     ):
         spec = FAMILY_SPECS[name]
         expected = reference_predictions(spec, TRACE)
-        stream = compiled_stream(spec.build(), backend)
-        assert stream is not None, f"{name} should have a compiled kernel"
+        stream = stream_simulator(spec.build(), backend=backend)
+        # cext steps the family's C kernel; python the predictor itself.
+        route = _KernelStream if backend == "cext" else _ReferenceStream
+        assert type(stream) is route
+        assert (compiled_stream(spec.build(), backend) is None) == (backend == "python")
         got = np.concatenate(
             [
                 stream.feed(chunk.pcs, chunk.outcomes)

@@ -6,6 +6,7 @@ splits, geometry mixes and deduplicated configurations.
 """
 
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.engine import (
     stream_simulator,
     supports_batched,
 )
+from repro.engine import batched as batched_engine
 from repro.engine.backend import backend_availability
 from repro.engine.batched import (
     BatchedStream,
@@ -108,11 +110,12 @@ class TestPredictionsBatched:
         for predictor, predictions in zip(predictors, batched):
             assert np.array_equal(predictions, reference_predictions(predictor, trace))
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, monkeypatch):
         trace = random_trace(2, 2000, 30)
         predictors = [paper_predictor("gas", k) for k in range(8)]
         full = predictions_batched(predictors, trace)
-        tiny = predictions_batched(predictors, trace, max_chunk_elements=500)
+        monkeypatch.setattr(batched_engine, "MAX_CHUNK_ELEMENTS", 500)
+        tiny = predictions_batched(predictors, trace)
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 
@@ -136,14 +139,6 @@ class TestPredictionsBatched:
             predictions_batched([YagsPredictor()], random_trace(4, 100, 5))
         assert not supports_batched(YagsPredictor())
         assert supports_batched(make_gas(2, pht_index_bits=6))
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            predictions_batched(
-                [make_gas(2, pht_index_bits=6)],
-                random_trace(5, 100, 5),
-                max_chunk_elements=0,
-            )
 
 
 class TestSimulateBatched:
@@ -301,9 +296,8 @@ def test_batched_sweep_property(specs, seed, n, num_pcs, chunk, split, cuts, lat
     expected = [simulate_reference(predictor, trace) for predictor in predictors]
     for backend in BACKENDS:
         chunks = (trace[start:end] for start, end in zip(bounds, bounds[1:]))
-        results = simulate_batched_stream(
-            predictors, chunks, max_chunk_elements=chunk, backend=backend
-        )
+        with mock.patch.object(batched_engine, "MAX_CHUNK_ELEMENTS", chunk):
+            results = simulate_batched_stream(predictors, chunks, backend=backend)
         for want, result in zip(expected, results):
             assert np.array_equal(result.pcs, want.pcs)
             assert np.array_equal(result.executions, want.executions)
@@ -466,12 +460,10 @@ class TestBatchedStreamSplits:
         )
         assert_matches_reference(SWEEP_SPECS, results, self.TRACE)
 
-    def test_small_budget_splits_the_stack_within_chunks(self, backend):
+    def test_small_budget_splits_the_stack_within_chunks(self, backend, monkeypatch):
+        monkeypatch.setattr(batched_engine, "MAX_CHUNK_ELEMENTS", 1 << 11)
         results = simulate_batched_stream(
-            [spec.build() for spec in SWEEP_SPECS],
-            chunks_of(self.TRACE, 997),
-            max_chunk_elements=1 << 11,
-            backend=backend,
+            [spec.build() for spec in SWEEP_SPECS], chunks_of(self.TRACE, 997), backend=backend
         )
         assert_matches_reference(SWEEP_SPECS, results, self.TRACE)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TraceError
-from repro.trace import Trace, save_trace
+from repro.trace import Trace, exclude_pcs, offset_pcs, save_trace
 from repro.workload_spec import (
     AlternatingModelSpec,
     BiasModelSpec,
@@ -205,6 +205,25 @@ class TestMaterialize:
         assert set(only.pcs.tolist()) == {pc}
         sampled = FilterSpec(source=kernel, op="sample_every", args=(3, 1)).materialize()
         assert len(sampled) == len(full[1::3])
+        dropped = FilterSpec(source=kernel, op="exclude_pcs", args=((pc,),)).materialize()
+        assert dropped == exclude_pcs(full, [pc]).with_name(dropped.name)
+        shifted = FilterSpec(source=kernel, op="offset_pcs", args=(64,)).materialize()
+        assert shifted == offset_pcs(full, 64).with_name(shifted.name)
+
+    @pytest.mark.parametrize(
+        "op, args, error",
+        [
+            ("select_pcs", ((1 << 63,),), "fit in int64"),
+            ("exclude_pcs", ((1 << 63,),), "fit in int64"),
+            ("offset_pcs", (1 << 63,), "fit in int64"),
+            # An offset inside int64 whose sum with the largest pc is not.
+            ("offset_pcs", ((1 << 63) - 1,), "past the int64 maximum"),
+        ],
+    )
+    def test_filter_args_outside_int64_rejected(self, op, args, error):
+        spec = FilterSpec(source=KernelSpec(name="sieve", size=32), op=op, args=args)
+        with pytest.raises(TraceError, match=error):
+            spec.materialize()
 
     def test_filter_round_trips_with_args(self):
         spec = FilterSpec(source=KernelSpec(), op="sample_every", args=(4, 2))
