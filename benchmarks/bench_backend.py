@@ -22,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import simulate, simulate_reference, simulate_sweep
+from repro.engine import simulate, simulate_batched, simulate_reference
 from repro.engine.backend import backend_availability
+from repro.predictors import paper_predictor
+from repro.predictors.paper_configs import HISTORY_LENGTHS
 from repro.spec import YagsSpec
 from repro.workloads.synthetic import SPEC95_INPUTS, input_trace
 
@@ -111,21 +113,30 @@ def test_compiled_speedup_floor(trace, yags_reference):
     )
 
 
+def paper_sweep(trace, backend):
+    """The paper's 34 configurations over ``trace`` in one batched pass."""
+    return simulate_batched(
+        [paper_predictor(kind, k) for kind in ("pas", "gas") for k in HISTORY_LENGTHS],
+        trace,
+        backend=backend,
+    )
+
+
 def sweep_misses(sweep) -> list[np.ndarray]:
-    return [sweep.mispredictions(*key) for key in sweep.keys()]
+    return [result.mispredictions for result in sweep]
 
 
 @pytest.fixture(scope="module")
 def sweep_expected(trace):
     """The 34 configurations' per-PC misses on the numpy path."""
-    return sweep_misses(simulate_sweep(trace, backend="python"))
+    return sweep_misses(paper_sweep(trace, "python"))
 
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_sweep_backend(benchmark, trace, sweep_expected, backend):
     """The paper's 34-configuration sweep on the two-level carrier."""
     benchmark.group = "sweep-backend"
-    sweep = benchmark(lambda: simulate_sweep(trace, backend=backend))
+    sweep = benchmark(lambda: paper_sweep(trace, backend))
     got = sweep_misses(sweep)
     assert all(np.array_equal(a, b) for a, b in zip(got, sweep_expected))
     benchmark.extra_info["records"] = len(trace)
@@ -147,7 +158,7 @@ def test_sweep_backend_floor(trace, sweep_expected):
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            sweep = simulate_sweep(trace, backend=backend)
+            sweep = paper_sweep(trace, backend)
             times.append(time.perf_counter() - start)
             got = sweep_misses(sweep)
             assert all(np.array_equal(a, b) for a, b in zip(got, sweep_expected))

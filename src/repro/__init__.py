@@ -18,7 +18,8 @@ The package layers, bottom to top:
   specifications: every trace source (synthetic benchmarks, VM
   kernels, trace files, composers, suites) as a frozen, addressable
   spec (see ``docs/WORKLOADS.md``).
-* :mod:`repro.engine` — step-accurate and vectorized simulation.
+* :mod:`repro.engine` — the reference oracle and one chunked carrier
+  per predictor family.
 * :mod:`repro.session` — the planning/batching front door for many
   simulation jobs at once (see ``docs/API.md``).
 * :mod:`repro.classify` — the 11-band taken/transition classification.
@@ -143,8 +144,6 @@ from .engine import (
     simulate,
     simulate_batched,
     simulate_reference,
-    simulate_sweep,
-    simulate_vectorized,
 )
 from .analysis import (
     SweepConfig,
@@ -273,9 +272,7 @@ __all__ = [
     # engine
     "simulate",
     "simulate_reference",
-    "simulate_vectorized",
     "simulate_batched",
-    "simulate_sweep",
     "SimulationResult",
     # analysis
     "run_sweep",

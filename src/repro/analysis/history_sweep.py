@@ -9,10 +9,10 @@ dynamic occurrence, exactly like the paper's suite-level graphs.
 
 Every (kind, history length) configuration is expressed as a
 declarative :class:`~repro.spec.TwoLevelSpec` job and planned by
-:class:`repro.session.Session`: with ``engine="auto"`` (or
-``"batched"``) all configurations of a trace collapse into one batched
-multi-config pass, while ``"vectorized"``/``"reference"`` force
-per-configuration simulation; the grids are bit-identical either way.
+:class:`repro.session.Session`: with ``engine="auto"`` all
+configurations of a trace collapse into one batched multi-config pass,
+while ``"reference"`` simulates each configuration on the oracle; the
+grids are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..classify.classes import NUM_CLASSES
 from ..classify.profile import ProfileTable
 from ..errors import ConfigurationError
 from ..predictors.paper_configs import HISTORY_LENGTHS, paper_spec
-from ..session import Session
+from ..session import ENGINES, Session
 from ..trace.stream import Trace
 
 __all__ = [
@@ -42,18 +42,16 @@ __all__ = [
 
 PREDICTOR_KINDS = ("pas", "gas")
 METRICS = ("taken", "transition")
-ENGINES = ("auto", "batched", "vectorized", "reference")
 
 
 @dataclass(frozen=True, slots=True)
 class SweepConfig:
     """Parameters of a history sweep.
 
-    ``engine="auto"`` (and ``"batched"``) runs every (kind, history
-    length) configuration of a trace through the batched multi-config
-    engine in one pass; ``"vectorized"``/``"reference"`` force
-    per-configuration simulation on that engine (the batched path is
-    bit-exact with both, so the results never differ).
+    ``engine="auto"`` runs every (kind, history length) configuration
+    of a trace through the batched multi-config engine in one pass;
+    ``"reference"`` simulates each configuration on the oracle (the
+    batched path is bit-exact with it, so the results never differ).
     """
 
     history_lengths: tuple[int, ...] = tuple(HISTORY_LENGTHS)
@@ -227,29 +225,16 @@ def sweep_trace(trace: Trace, config: SweepConfig | None = None) -> TraceSweep:
     """Sweep one trace over every (kind, history length) configuration.
 
     All configurations are submitted to one
-    :class:`~repro.session.Session` as spec jobs; with ``"auto"``/
-    ``"batched"`` the planner collapses them into a single batched
-    multi-config pass (``"vectorized"``/``"reference"`` force
-    per-configuration simulation; the counts are bit-identical).
+    :class:`~repro.session.Session` as spec jobs; with ``"auto"`` the
+    planner collapses them into a single batched multi-config pass
+    (``"reference"`` simulates each on the oracle; the counts are
+    bit-identical).
     """
     config = config or SweepConfig()
     part = _empty_part(trace.name, config)
     if len(trace) == 0:
         return part
-
-    profile = ProfileTable.from_trace(trace)
-    _add_profile_counts(part, profile)
-
-    session = Session(engine=config.engine)
-    jobs = [
-        (kind, row, session.submit(trace, paper_spec(kind, k)))
-        for kind in config.predictor_kinds
-        for row, k in enumerate(config.history_lengths)
-    ]
-    results = session.run()
-    for kind, row, job in jobs:
-        _accumulate_row(part.grids[kind], row, profile, results[job])
-    return part
+    return _sweep(part, trace, ProfileTable.from_trace(trace), config)
 
 
 def sweep_workload(
@@ -262,9 +247,10 @@ def sweep_workload(
     stream source (large binary trace files — see
     :func:`repro.workload_spec.stream_threshold`) are swept without
     ever materializing the trace: one bounded-memory pass profiles the
-    branches (:meth:`ProfileTable.from_chunks`) and one streams every
-    (kind, history length) configuration through the chunked batched
-    engine.  The resulting :class:`TraceSweep` is bit-identical to
+    branches (:meth:`ProfileTable.from_chunks`), and the spec's
+    configurations go to a :class:`~repro.session.Session`, which
+    streams the file through the chunked batched engine.  The resulting
+    :class:`TraceSweep` is bit-identical to
     ``sweep_trace(workload.materialize(), config)``.
     """
     from ..workload_spec import WorkloadSpec
@@ -279,45 +265,27 @@ def sweep_workload(
     source = workload.stream_source()
     if source is None:
         return sweep_trace(workload.materialize(), config)
+    part = _empty_part(workload.label, config)
     with source:
-        return _sweep_stream(workload.label, source, config)
+        if len(source) == 0:
+            return part
+        profile = ProfileTable.from_chunks(iter(source), name=workload.label)
+    return _sweep(part, workload, profile, config)
 
 
-def _sweep_stream(label: str, reader, config: SweepConfig) -> TraceSweep:
-    """Bounded-memory sweep over a chunk reader (two passes: profile,
-    then the chunked multi-configuration simulation)."""
-    from ..engine import simulate_batched_stream, simulate_stream
-
-    part = _empty_part(label, config)
-    if len(reader) == 0:
-        return part
-
-    profile = ProfileTable.from_chunks(iter(reader), name=label)
+def _sweep(part: TraceSweep, workload, profile: ProfileTable, config: SweepConfig) -> TraceSweep:
+    """Fill ``part`` from ``profile`` and one :class:`Session` running
+    every (kind, history length) configuration over ``workload``."""
     _add_profile_counts(part, profile)
-
-    keys = [
-        (kind, row, k)
+    session = Session(engine=config.engine)
+    jobs = [
+        (kind, row, session.submit(workload, paper_spec(kind, k)))
         for kind in config.predictor_kinds
         for row, k in enumerate(config.history_lengths)
     ]
-    if config.engine in ("auto", "batched"):
-        results = simulate_batched_stream(
-            [paper_spec(kind, k).build() for kind, _, k in keys],
-            iter(reader),
-            trace_name=label,
-        )
-    else:
-        results = [
-            simulate_stream(
-                paper_spec(kind, k).build(),
-                iter(reader),
-                engine=config.engine,
-                trace_name=label,
-            )
-            for kind, _, k in keys
-        ]
-    for (kind, row, _), result in zip(keys, results):
-        _accumulate_row(part.grids[kind], row, profile, result)
+    results = session.run()
+    for kind, row, job in jobs:
+        _accumulate_row(part.grids[kind], row, profile, results[job])
     return part
 
 

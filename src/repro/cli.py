@@ -63,6 +63,7 @@ from .engine.backend import BACKENDS
 from .errors import ConfigurationError, LockTimeout, ReproError
 from .experiments import ExperimentContext, all_experiment_ids, get_experiment
 from .pipeline import RetryPolicy
+from .session import ENGINES
 from .spec import PredictorSpec, spec_class, spec_from_json, spec_kinds
 from .workload_spec import (
     NAMED_SUITES,
@@ -528,7 +529,7 @@ def _add_context_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "batched", "vectorized", "reference"),
+        choices=ENGINES,
         default="auto",
         help="simulation engine (default auto; see docs/ENGINES.md)",
     )

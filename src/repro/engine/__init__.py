@@ -1,8 +1,8 @@
 """Predictor simulation engines.
 
-:func:`simulate` is the front door: it dispatches to the fastest engine
-that supports the predictor and produces identical
-:class:`SimulationResult` objects whichever engine runs.
+:func:`simulate` is the front door: it runs the predictor's carrier
+(or the oracle, on request) and produces identical
+:class:`SimulationResult` objects whichever path runs.
 
 There is one engine plus an oracle (see ``docs/ENGINES.md``):
 
@@ -16,19 +16,17 @@ carriers (:func:`stream_simulator`, :class:`~repro.engine.batched.BatchedStream`
     state between chunks: the two-level family (many configurations in
     one pass) runs a compiled sweep kernel or, without a C compiler,
     segmented-scan arrays; agree, tournament, class-routed hybrids and
-    static predictors run arrays; YAGS/bi-mode/filter/DHLF run C
+    static predictors run arrays, with each tournament or hybrid
+    component on its own carrier; YAGS/bi-mode/filter/DHLF run C
     per-record kernels or, without a C compiler, the stateful
     predictors (:mod:`repro.engine.backend`).
-    The streamed entry points (:func:`simulate_stream`,
-    :func:`simulate_batched_stream`, :func:`simulate_sweep_stream`)
-    feed them an iterator of chunks with peak memory O(chunk); the
-    in-memory ones (:func:`simulate_vectorized`,
-    :func:`simulate_batched`, :func:`simulate_sweep`, ...) feed them
-    the whole trace as one chunk.
+    :func:`simulate` and :func:`simulate_batched` feed them the whole
+    trace as one chunk; :func:`simulate_stream` and
+    :func:`simulate_batched_stream` feed them an iterator of chunks
+    with peak memory O(chunk).
 
-``engine`` names which carrier may run: ``"vectorized"`` the array
-carriers, ``"batched"`` the two-level one, ``"auto"`` the fastest
-available.  Callers can pass either a stateful
+``engine`` is ``"auto"`` (the family's carrier) or ``"reference"``
+(the oracle).  Callers can pass either a stateful
 :class:`~repro.predictors.base.BranchPredictor` or a declarative
 :class:`~repro.spec.PredictorSpec` — specs are built on the way in.
 For many jobs at once, prefer :class:`repro.session.Session`, which
@@ -47,46 +45,25 @@ from .backend import (
     resolve_backend,
     supports_compiled,
 )
-from .batched import (
-    BatchedSweepResult,
-    predictions_batched,
-    simulate_batched,
-    simulate_batched_stream,
-    simulate_sweep,
-    simulate_sweep_stream,
-    supports_batched,
-)
+from .batched import simulate_batched, simulate_batched_stream, supports_batched
 from .reference import simulate_reference
 from .results import BranchResult, SimulationResult
 from .scan import counter_step_table, segmented_automaton_scan, segmented_saturating_scan
-from .streaming import (
-    predictions_vectorized,
-    simulate_stream,
-    simulate_vectorized,
-    stream_simulator,
-    supports_vectorized,
-)
+from .streaming import simulate_stream, stream_simulator
 
 __all__ = [
     "simulate",
     "simulate_reference",
-    "simulate_vectorized",
     "simulate_batched",
-    "simulate_sweep",
     "simulate_stream",
     "simulate_batched_stream",
-    "simulate_sweep_stream",
     "stream_simulator",
-    "predictions_vectorized",
-    "predictions_batched",
-    "supports_vectorized",
     "supports_batched",
     "BACKENDS",
     "backend_availability",
     "compiled_stream",
     "resolve_backend",
     "supports_compiled",
-    "BatchedSweepResult",
     "SimulationResult",
     "BranchResult",
     "segmented_automaton_scan",
@@ -112,11 +89,9 @@ def simulate(
     trace:
         Branch stream in program order.
     engine:
-        ``"auto"`` (the array carrier when supported, C per-record
-        kernels for the YAGS/bi-mode/filter/DHLF families on the
-        ``cext`` backend, reference otherwise), ``"vectorized"`` (error
-        if unsupported), ``"batched"`` (two-level family only; a
-        one-configuration batch), or ``"reference"`` (the oracle).
+        ``"auto"`` (the predictor's carrier, see
+        :func:`stream_simulator`) or ``"reference"`` (the oracle).
+        Anything else raises :class:`~repro.errors.ConfigurationError`.
     backend:
         Kernel implementation of the two-level carrier and the
         per-record families (``python``/``cext``/``auto``; see

@@ -40,13 +40,12 @@ picks one of two paths:
      streams share one stable sort and one segmented scan; stacks are
      chunked (:data:`MAX_CHUNK_ELEMENTS`) to bound peak memory.
 
-A single two-level predictor is a one-configuration batch.  The
-in-memory entry points (:func:`simulate_batched`,
-:func:`predictions_batched`, :func:`simulate_sweep`) feed the whole
-trace as one chunk; the streamed ones (:func:`simulate_batched_stream`,
-:func:`simulate_sweep_stream`) feed an iterator of chunks.  Every result
-is bit-exact with the reference engine on both paths
-(``tests/test_engine_batched.py``).
+A single two-level predictor is a one-configuration batch.
+:func:`simulate_batched` feeds the whole trace as one chunk;
+:func:`simulate_batched_stream` feeds an iterator of chunks.  The
+paper's sweep is ``simulate_batched([paper_predictor(kind, k) for ...],
+trace)``.  Every result is bit-exact with the reference engine on both
+paths (``tests/test_engine_batched.py``).
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..predictors.bimodal import BimodalPredictor
-from ..predictors.paper_configs import HISTORY_LENGTHS, paper_predictor
 from ..predictors.twolevel import TwoLevelPredictor
 from ..trace.stream import Trace
 from .backend import resolve_backend
@@ -68,13 +66,8 @@ from .scan import segmented_saturating_scan, stable_key_order
 
 __all__ = [
     "BatchedStream",
-    "BatchedSweepResult",
-    "check_batched",
-    "predictions_batched",
     "simulate_batched",
     "simulate_batched_stream",
-    "simulate_sweep",
-    "simulate_sweep_stream",
     "supports_batched",
 ]
 
@@ -89,16 +82,6 @@ MAX_CHUNK_ELEMENTS = 1 << 17
 def supports_batched(predictor) -> bool:
     """True if ``predictor`` can join a batched multi-config pass."""
     return isinstance(predictor, (TwoLevelPredictor, BimodalPredictor))
-
-
-def check_batched(predictor) -> None:
-    """Raise unless ``predictor`` can join a batched pass: the one check
-    behind every ``engine="batched"`` request."""
-    if not supports_batched(predictor):
-        raise ConfigurationError(
-            f"{type(predictor).__name__} cannot use the batched engine "
-            "(two-level family only)"
-        )
 
 
 # -- history windows and carried registers -------------------------------------
@@ -351,9 +334,12 @@ class _Spec:
 
 
 def _spec_of(predictor) -> _Spec:
-    check_batched(predictor)
     if isinstance(predictor, BimodalPredictor):
         return _Spec("global", 0, predictor.table.index_bits, "concat", None, predictor.table.bits)
+    if not isinstance(predictor, TwoLevelPredictor):
+        raise ConfigurationError(
+            f"{type(predictor).__name__} cannot join a batched pass (two-level family only)"
+        )
     return _Spec(
         predictor.history_kind,
         predictor.history_bits,
@@ -628,20 +614,6 @@ class BatchedStream:
 # -- entry points ---------------------------------------------------------------
 
 
-def predictions_batched(
-    predictors,
-    trace: Trace,
-    *,
-    backend: str | None = None,
-) -> list[np.ndarray]:
-    """Per-step predictions (uint8, 1 = taken) for many two-level
-    predictors over one trace, fed to a :class:`BatchedStream` as one
-    chunk.  Duplicated geometries are simulated once and share one
-    array.
-    """
-    return BatchedStream(predictors, backend=backend).feed(trace.pcs, trace.outcomes)
-
-
 def simulate_batched(
     predictors,
     trace: Trace,
@@ -674,109 +646,3 @@ def simulate_batched_stream(
     predictors = list(predictors)
     carrier = BatchedStream(predictors, backend=backend)
     return _attribute_chunks(carrier.misses, predictors, chunks, trace_name)
-
-
-class BatchedSweepResult:
-    """Per-(kind, history length) simulation results over one trace.
-
-    All results share one sorted unique-PC axis and one executions
-    column; :meth:`result` materializes the standard
-    :class:`SimulationResult` view for a configuration.
-    """
-
-    def __init__(
-        self,
-        trace_name: str,
-        pcs: np.ndarray,
-        executions: np.ndarray,
-        miss_counts: dict[tuple[str, int], np.ndarray],
-        predictor_names: dict[tuple[str, int], str],
-    ) -> None:
-        self.trace_name = trace_name
-        self.pcs = pcs
-        self.executions = executions
-        self._miss_counts = miss_counts
-        self._predictor_names = predictor_names
-
-    def keys(self) -> list[tuple[str, int]]:
-        """The simulated (kind, history length) pairs."""
-        return list(self._miss_counts)
-
-    def mispredictions(self, kind: str, history_bits: int) -> np.ndarray:
-        """Per-PC misprediction counts for one configuration."""
-        try:
-            return self._miss_counts[(kind, history_bits)]
-        except KeyError:
-            raise ConfigurationError(
-                f"sweep did not simulate ({kind!r}, {history_bits})"
-            ) from None
-
-    def result(self, kind: str, history_bits: int) -> SimulationResult:
-        """The full :class:`SimulationResult` for one configuration."""
-        return SimulationResult(
-            self.pcs,
-            self.executions,
-            self.mispredictions(kind, history_bits),
-            predictor_name=self._predictor_names[(kind, history_bits)],
-            trace_name=self.trace_name,
-        )
-
-
-def simulate_sweep(
-    trace: Trace,
-    *,
-    kinds=("pas", "gas"),
-    history_lengths=tuple(HISTORY_LENGTHS),
-    backend: str | None = None,
-) -> BatchedSweepResult:
-    """Simulate the paper's PAs/GAs sweep over ``trace`` in one pass.
-
-    Bit-exact with simulating ``paper_predictor(kind, k)`` separately
-    for every (kind, k), at a fraction of the cost (see
-    ``docs/ENGINES.md``).
-    """
-    return simulate_sweep_stream(
-        [trace],
-        kinds=kinds,
-        history_lengths=history_lengths,
-        backend=backend,
-        trace_name=trace.name,
-    )
-
-
-def simulate_sweep_stream(
-    chunks: Iterable,
-    *,
-    kinds=("pas", "gas"),
-    history_lengths=None,
-    backend: str | None = None,
-    trace_name: str | None = None,
-) -> BatchedSweepResult:
-    """The paper's PAs/GAs sweep over a chunk iterator in one pass.
-
-    For traces too big to hold in memory: every configuration's history
-    windows and counter scans are shared, and the results are
-    bit-identical to :func:`simulate_sweep` over the concatenated
-    chunks.
-    """
-    if history_lengths is None:
-        history_lengths = tuple(HISTORY_LENGTHS)
-    keys = [(kind, int(k)) for kind in kinds for k in history_lengths]
-    results = simulate_batched_stream(
-        [paper_predictor(kind, k) for kind, k in keys],
-        chunks,
-        backend=backend,
-        trace_name=trace_name,
-    )
-    if results:
-        first = results[0]
-        name, pcs, executions = first.trace_name, first.pcs, first.executions
-    else:  # no configurations requested
-        name, pcs, executions = trace_name or "", np.zeros(0, np.int64), np.zeros(0, np.int64)
-    return BatchedSweepResult(
-        name,
-        pcs,
-        executions,
-        {key: result.mispredictions for key, result in zip(keys, results)},
-        {key: result.predictor_name for key, result in zip(keys, results)},
-    )

@@ -3,8 +3,7 @@
 Drives any :class:`~repro.predictors.base.BranchPredictor` over a
 :class:`~repro.trace.stream.Trace` one record at a time, exactly as the
 paper's modified ``sim-bpred`` does: predict, compare, train.  This
-engine is the semantic ground truth the vectorized engine is tested
-against, and the only one that can run arbitrary predictors.
+engine is the semantic ground truth every carrier is tested against.
 """
 
 from __future__ import annotations

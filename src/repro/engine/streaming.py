@@ -9,9 +9,8 @@ predictions (only the two-level sweep,
 :func:`~repro.engine.batched.simulate_batched_stream`, has its compiled
 kernel count them as it steps).  :func:`simulate_stream` feeds it an
 iterator of chunks (typically a :class:`~repro.trace.io.TraceReader`
-over a chunked ``.rbt`` v2 file) with peak memory O(chunk); the
-in-memory entry points :func:`simulate_vectorized` and
-:func:`predictions_vectorized` feed it the whole trace as one chunk.
+over a chunked ``.rbt`` v2 file) with peak memory O(chunk);
+:func:`repro.engine.simulate` feeds it the whole trace as one chunk.
 
 What each family carries between chunks:
 
@@ -32,7 +31,8 @@ What each family carries between chunks:
   on ``python``, the stateful predictor object itself;
 * **anything else** — the stateful predictor object itself.
 
-Every carrier is **bit-identical** to
+A tournament or hybrid component may be of any family: it runs its own
+carrier.  Every carrier is **bit-identical** to
 :func:`repro.engine.reference.simulate_reference` for every chunk split
 (pinned by ``tests/test_engine_streaming.py`` over every registered
 predictor family and chunk lengths down to 1).
@@ -54,7 +54,6 @@ from ..predictors.static import (
     ProfileStaticPredictor,
 )
 from ..predictors.tournament import TournamentPredictor
-from ..trace.stream import Trace
 from .backend import compiled_stream
 from .batched import (
     BatchedStream,
@@ -70,28 +69,9 @@ from .batched import (
 from .results import SimulationResult, _attribute_chunks, count_misses
 from .scan import counter_step_table, segmented_automaton_scan, stable_key_order
 
-__all__ = [
-    "predictions_vectorized",
-    "simulate_stream",
-    "simulate_vectorized",
-    "stream_simulator",
-    "supports_vectorized",
-]
+__all__ = ["simulate_stream", "stream_simulator"]
 
 _STATIC_TYPES = (AlwaysTakenPredictor, AlwaysNotTakenPredictor, ProfileStaticPredictor)
-
-
-def supports_vectorized(predictor) -> bool:
-    """True if ``predictor`` has an array carrier (no per-record loop):
-    the two-level family, static predictors, agree, and tournaments and
-    class-routed hybrids whose components are themselves supported."""
-    if supports_batched(predictor) or isinstance(predictor, (AgreePredictor, *_STATIC_TYPES)):
-        return True
-    if isinstance(predictor, TournamentPredictor):
-        return supports_vectorized(predictor.first) and supports_vectorized(predictor.second)
-    if isinstance(predictor, ClassRoutedHybrid):
-        return all(supports_vectorized(c) for c in predictor.components)
-    return False
 
 
 # -- per-family carriers --------------------------------------------------------
@@ -300,22 +280,18 @@ class _ReferenceStream:
     def __init__(self, predictor) -> None:
         predictor.reset()
         self.predictor = predictor
-        self.is_oracle = isinstance(predictor, OraclePredictor)
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        n = len(pcs)
-        predictions = np.empty(n, dtype=np.uint8)
         predictor = self.predictor
-        predict = predictor.predict
-        update = predictor.update
-        for i in range(n):
-            pc = int(pcs[i])
-            taken = bool(outcomes[i])
-            if self.is_oracle:
-                predictor.prime(taken)
-            predictions[i] = 1 if predict(pc) else 0
+        predict, update = predictor.predict, predictor.update
+        prime = predictor.prime if isinstance(predictor, OraclePredictor) else None
+        predictions = []
+        for pc, taken in zip(pcs.tolist(), outcomes.astype(bool).tolist()):
+            if prime is not None:
+                prime(taken)
+            predictions.append(predict(pc))
             update(pc, taken)
-        return predictions
+        return np.array(predictions, dtype=bool).view(np.uint8)
 
 
 def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = None):
@@ -323,32 +299,21 @@ def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = N
 
     Its ``feed(pcs, outcomes)`` yields the per-step predictions for one
     chunk, carrying all predictor state to the next call.  ``engine``
-    mirrors :func:`repro.engine.simulate`: ``"auto"`` picks the array
-    carrier when :func:`supports_vectorized`, a C per-record kernel
-    (:func:`~repro.engine.backend.compiled_stream`) when the family has
-    one and the backend is ``cext``, and the stateful reference
-    predictor otherwise; ``"vectorized"`` and ``"batched"`` insist on
-    the array and the two-level carriers.  ``backend`` selects the
-    kernels of the two-level carriers and of the per-record families
-    (default: ``REPRO_ENGINE_BACKEND``, else auto-detect); components
-    of a tournament or hybrid inherit it.
+    mirrors :func:`repro.engine.simulate`: ``"reference"`` steps the
+    predictor object itself (the oracle's stream); ``"auto"`` picks the
+    family's carrier: arrays for the two-level family, agree,
+    tournaments, class-routed hybrids and static predictors, a C
+    per-record kernel (:func:`~repro.engine.backend.compiled_stream`)
+    when the family has one and the backend is ``cext``, and the
+    stateful predictor otherwise.  ``backend`` selects the kernels of
+    the two-level carriers and of the per-record families (default:
+    ``REPRO_ENGINE_BACKEND``, else auto-detect); components of a
+    tournament or hybrid inherit it.
     """
     if engine == "reference":
         return _ReferenceStream(predictor)
-    if engine == "batched":
-        return _OneConfig(predictor, backend)
-    if engine not in ("auto", "vectorized"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'auto', 'vectorized', 'batched' or 'reference'"
-        )
-    if not supports_vectorized(predictor):
-        if engine == "vectorized":
-            raise ConfigurationError(
-                f"vectorized engine cannot simulate {type(predictor).__name__}; "
-                "use engine='reference' or 'auto'"
-            )
-        compiled = compiled_stream(predictor, backend)
-        return compiled if compiled is not None else _ReferenceStream(predictor)
+    if engine != "auto":
+        raise ConfigurationError(f"unknown engine {engine!r}; expected 'auto' or 'reference'")
     if supports_batched(predictor):
         return _OneConfig(predictor, backend)
     if isinstance(predictor, AgreePredictor):
@@ -357,7 +322,9 @@ def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = N
         return _TournamentStream(predictor, backend)
     if isinstance(predictor, ClassRoutedHybrid):
         return _HybridStream(predictor, backend)
-    return _StaticStream(predictor)
+    if isinstance(predictor, _STATIC_TYPES):
+        return _StaticStream(predictor)
+    return compiled_stream(predictor, backend) or _ReferenceStream(predictor)
 
 
 # -- entry points ---------------------------------------------------------------
@@ -391,23 +358,3 @@ def simulate_stream(
         return count_misses([carrier.feed(pcs, outcomes)], outcomes, ids, width)
 
     return _attribute_chunks(count, [predictor], chunks, trace_name)[0]
-
-
-def predictions_vectorized(predictor, trace: Trace) -> np.ndarray:
-    """Per-step predictions (uint8, 1 = predicted taken) for the trace,
-    fed to the predictor's array carrier as one chunk.
-
-    The predictor object itself is *not* mutated; its geometry is read
-    and the cold-start simulation is carried out on arrays.
-    """
-    return stream_simulator(predictor, engine="vectorized").feed(trace.pcs, trace.outcomes)
-
-
-def simulate_vectorized(predictor, trace: Trace) -> SimulationResult:
-    """Cold-start simulation with per-PC miss attribution, through the
-    predictor's array carrier with the trace as one chunk.
-
-    Exactly equivalent to ``simulate_reference(predictor, trace)`` for
-    every supported predictor type.
-    """
-    return simulate_stream(predictor, [trace], engine="vectorized", trace_name=trace.name)

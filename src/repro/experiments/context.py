@@ -55,11 +55,10 @@ class ExperimentContext:
         Directory for the artifact store; ``None`` keeps artifacts in
         memory only for this context's lifetime.
     engine:
-        Simulation engine selector passed through to sweep artifacts.
-        ``"auto"`` (the default) and ``"batched"`` simulate all sweep
-        configurations of a trace in one batched pass;
-        ``"vectorized"``/``"reference"`` force per-configuration
-        simulation (bit-identical, for cross-checking).  The engine is
+        Simulation engine passed through to sweep artifacts.
+        ``"auto"`` (the default) simulates all sweep configurations of
+        a trace in one batched pass; ``"reference"`` runs each on the
+        oracle (bit-identical, for cross-checking).  The engine is
         *not* part of artifact content addresses.  See ``docs/ENGINES.md``.
     jobs:
         Worker processes for independent artifacts (per-trace sweeps);

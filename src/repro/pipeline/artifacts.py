@@ -21,10 +21,9 @@ of ``{version, kind, params, dep addresses}`` — a producing-spec hash
 chained through upstream hashes, so changing the trace scale re-keys
 every downstream artifact while changing only the history sweep leaves
 the trace and profile artifacts warm.  The simulation ``engine`` is
-deliberately *excluded* from the address: the batched, vectorized and
-reference engines are bit-exact for the predictors they share (see
-``docs/ENGINES.md``), so an artifact computed by any engine satisfies
-all of them.
+deliberately *excluded* from the address: ``auto`` and ``reference``
+are bit-exact (see ``docs/ENGINES.md``), so an artifact computed on
+either satisfies both.
 """
 
 from __future__ import annotations
@@ -105,9 +104,10 @@ class PipelineConfig:
     ``spec95_suite(inputs, scale)``, so the historical constructor
     keeps working unchanged.  The suite's content key and
     ``history_lengths`` participate in content addresses (they change
-    artifact values); ``engine`` does not (all engines are bit-exact
-    where they overlap) and only selects *how* sweep artifacts are
-    computed.
+    artifact values); ``engine`` (one of
+    :data:`~repro.session.ENGINES`) does not: ``auto`` and
+    ``reference`` are bit-exact, so it only selects *how* sweep
+    artifacts are computed.
     """
 
     inputs: str = "primary"

@@ -55,7 +55,7 @@ class AgreePredictor(BranchPredictor):
 
     @property
     def bias_entries(self) -> int:
-        """Entries in the biasing-bit table (read by the vectorized engine)."""
+        """Entries in the biasing-bit table (read by the agree carrier)."""
         return len(self._bias)
 
     def _index(self, pc: int) -> int:

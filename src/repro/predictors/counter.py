@@ -80,8 +80,8 @@ class CounterTable:
 
     Stored as a numpy ``uint8`` array so multi-hundred-kilobit tables
     (the paper's 2^17-counter PHT) stay cheap, with scalar access used
-    by the reference engine and raw array access used by the vectorized
-    engine.
+    by the reference engine and raw array access used by the array
+    carriers.
     """
 
     __slots__ = ("entries", "bits", "_max", "_threshold", "_initial", "_values")
@@ -112,12 +112,12 @@ class CounterTable:
     @property
     def initial(self) -> int:
         """The reset value every counter starts from (used by the
-        vectorized engine to replay cold-start evolution)."""
+        array carriers to replay cold-start evolution)."""
         return self._initial
 
     @property
     def values(self) -> np.ndarray:
-        """The raw counter array (mutable; used by the vectorized engine)."""
+        """The raw counter array (mutable; used by the array carriers)."""
         return self._values
 
     def predict(self, index: int) -> bool:

@@ -5,7 +5,7 @@ recent outcomes: a single **global** history register (GAs, gshare) or
 a **branch history table** (BHT) of per-address registers (PAs).  Both
 are modelled here.  A history value is an integer whose bit *i* (LSB =
 most recent) records the outcome *i + 1* executions ago, matching the
-indexing convention of the vectorized engine.
+indexing convention of the array carriers.
 """
 
 from __future__ import annotations

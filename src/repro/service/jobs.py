@@ -94,10 +94,11 @@ def _coerce_suite(data: Mapping[str, Any], scale: float) -> SuiteSpec | None:
 class JobSpec:
     """A validated service request; the content key is the job id.
 
-    ``engine`` deliberately does *not* participate in the content key:
-    engines are bit-exact where they overlap (see ``docs/ENGINES.md``),
-    so requests differing only in engine describe the same artifacts
-    and dedupe onto one job (first submission's engine wins).
+    ``engine`` (``"auto"`` or ``"reference"``) deliberately does *not*
+    participate in the content key: the two are bit-exact (see
+    ``docs/ENGINES.md``), so requests differing only in engine
+    describe the same artifacts and dedupe onto one job (first
+    submission's engine wins).
     """
 
     targets: tuple[str, ...]

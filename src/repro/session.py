@@ -10,9 +10,9 @@ that: callers submit ``(workload, spec)`` *jobs* (workloads are
 frozen :class:`~repro.spec.PredictorSpec` descriptions) and the session
 
 1. **deduplicates by content** — identical jobs (same workload
-   content, spec and engine request) are simulated once and every
-   duplicate handle receives the shared result.  Workload specs are
-   keyed by :meth:`~repro.workload_spec.WorkloadSpec.content_key` and
+   content and spec) are simulated once and every duplicate handle
+   receives the shared result.  Workload specs are keyed by
+   :meth:`~repro.workload_spec.WorkloadSpec.content_key` and
    materialized at most once per session; plain traces fall back to a
    content fingerprint (name + sha256 of the pcs/outcomes columns), so
    two separately materialized identical traces still share one engine
@@ -20,11 +20,9 @@ frozen :class:`~repro.spec.PredictorSpec` descriptions) and the session
 2. **plans** — jobs on the same trace whose specs belong to the
    two-level family are grouped into a *single*
    :func:`~repro.engine.simulate_batched` invocation (one
-   multi-configuration carrier), while the remaining specs route to
-   the vectorized engine when supported and otherwise to the engine's
-   ``auto`` route: the family's C per-record kernel when it has one
-   (YAGS, bi-mode, filter, DHLF) and the backend is ``cext``, else the
-   stateful predictor stepped record by record;
+   multi-configuration carrier), while the remaining specs take the
+   engine's ``auto`` route one at a time: their family's carrier
+   (:func:`~repro.engine.stream_simulator`);
 3. **memoizes** — results are cached for the lifetime of the session,
    so resubmitting a job after :meth:`Session.run` costs nothing.
 
@@ -38,10 +36,10 @@ whole *service jobs* by request content, so concurrent identical
 requests share one computation exactly as duplicate session jobs
 share one engine invocation here.
 
-Every routing decision preserves bit-exactness: the batched, vectorized,
-compiled and reference paths produce identical
-:class:`~repro.engine.results.SimulationResult` objects for the
-predictors they share, so the planner is free to pick the fastest.
+Every routing decision preserves bit-exactness: the batched pass, the
+single-predictor carriers and the reference oracle produce identical
+:class:`~repro.engine.results.SimulationResult` objects, so the planner
+is free to pick the fastest.
 
 Workload specs that report a stream source (binary trace files at or
 above :func:`repro.workload_spec.stream_threshold` bytes) are simulated
@@ -59,19 +57,9 @@ from dataclasses import dataclass
 
 from .engine import simulate, simulate_batched, simulate_batched_stream, simulate_stream
 from .engine.backend import BACKENDS
-from .engine.batched import check_batched
 from .engine.results import SimulationResult
 from .errors import ConfigurationError
-from .spec import (
-    AgreeSpec,
-    BimodalSpec,
-    HybridSpec,
-    PredictorSpec,
-    ProfileStaticSpec,
-    StaticSpec,
-    TournamentSpec,
-    TwoLevelSpec,
-)
+from .spec import BimodalSpec, PredictorSpec, TwoLevelSpec
 from .trace.stream import Trace
 from .workload_spec import WorkloadSpec, trace_fingerprint
 
@@ -84,40 +72,18 @@ __all__ = [
     "Session",
     "StreamedTrace",
     "batchable_spec",
-    "vectorizable_spec",
 ]
 
-ENGINES = ("auto", "batched", "vectorized", "reference")
-
-# These spec-level capability predicates mirror the engines'
-# supports_batched/supports_vectorized so the planner can route without
-# building predictors.  When engine support widens, extend them too —
-# tests/test_session.py pins the two layers against each other over the
-# full spec catalogue, so drift fails loudly instead of silently
-# degrading jobs to the reference engine.
-
-#: Spec families the batched multi-configuration engine accepts.
-_BATCHABLE_SPECS = (TwoLevelSpec, BimodalSpec)
+#: The simulation engines every layer accepts: ``"auto"`` runs each
+#: predictor's carrier, ``"reference"`` the oracle.
+ENGINES = ("auto", "reference")
 
 
 def batchable_spec(spec: PredictorSpec) -> bool:
-    """True if ``spec`` can join a batched multi-configuration pass."""
-    return isinstance(spec, _BATCHABLE_SPECS)
-
-
-def vectorizable_spec(spec: PredictorSpec) -> bool:
-    """True if ``spec`` builds a predictor the vectorized engine supports.
-
-    Mirrors :func:`repro.engine.supports_vectorized` at the spec level,
-    so the planner can route without building anything.
-    """
-    if isinstance(spec, (TwoLevelSpec, BimodalSpec, AgreeSpec, StaticSpec, ProfileStaticSpec)):
-        return True
-    if isinstance(spec, TournamentSpec):
-        return vectorizable_spec(spec.first) and vectorizable_spec(spec.second)
-    if isinstance(spec, HybridSpec):
-        return all(vectorizable_spec(component) for component in spec.components)
-    return False
+    """True if ``spec`` can join a batched multi-configuration pass: the
+    spec-level :func:`~repro.engine.supports_batched`, so the planner
+    routes without building anything."""
+    return isinstance(spec, (TwoLevelSpec, BimodalSpec))
 
 
 class StreamedTrace:
@@ -165,7 +131,6 @@ class SimulationJob:
     index: int
     trace: Trace | StreamedTrace
     spec: PredictorSpec
-    engine: str
     slot: int = 0
 
 
@@ -188,9 +153,8 @@ class PlannedBatch:
     """One engine invocation the session will make for one trace.
 
     ``engine == "batched"`` means all entries run in a *single*
-    multi-configuration pass; other engines run one entry at a time.
-    ``"auto"`` here is the engine's own route for families without an
-    array carrier: their compiled kernel, else the stateful predictor.
+    multi-configuration pass; ``"auto"`` (each entry on its family's
+    carrier) and ``"reference"`` (the oracle) run one entry at a time.
     """
 
     engine: str
@@ -274,11 +238,10 @@ class Session:
     Parameters
     ----------
     engine:
-        Default engine request for submitted jobs.  ``"auto"`` lets the
-        planner choose (batched for two-level-family specs, vectorized
-        when supported, the engine's own ``auto`` route otherwise —
-        C kernels where the family has them); ``"batched"``,
-        ``"vectorized"`` and ``"reference"`` force that engine.
+        The engine every job of the session runs on (:data:`ENGINES`).
+        ``"auto"`` batches two-level-family specs per trace into one
+        multi-configuration pass and runs every other spec on its
+        family's carrier; ``"reference"`` runs every job on the oracle.
     backend:
         Kernel backend of the two-level carrier and the per-record
         families (``auto``/``python``/``cext``; see
@@ -315,7 +278,7 @@ class Session:
         self._trace_slots: dict[str, int] = {}
         self._traces: list[Trace] = []
         self._fingerprints: dict[int, tuple[Trace, str]] = {}
-        self._memo: dict[tuple[int, PredictorSpec, str], SimulationResult] = {}
+        self._memo: dict[tuple[int, PredictorSpec], SimulationResult] = {}
 
     # -- job intake ---------------------------------------------------------
 
@@ -361,89 +324,60 @@ class Session:
             self._traces.append(trace)
         return slot
 
-    def submit(
-        self,
-        workload: Trace | WorkloadSpec,
-        spec: PredictorSpec,
-        *,
-        engine: str | None = None,
-    ) -> SimulationJob:
+    def submit(self, workload: Trace | WorkloadSpec, spec: PredictorSpec) -> SimulationJob:
         """Queue one simulation request; returns its job handle."""
         if not isinstance(spec, PredictorSpec):
             raise ConfigurationError(
                 f"expected a PredictorSpec, got {type(spec).__name__} "
                 "(build stateful predictors with repro.engine.simulate instead)"
             )
-        requested = self.engine if engine is None else engine
-        if requested not in ENGINES:
-            raise ConfigurationError(f"engine {requested!r} not in {ENGINES}")
         slot = self._workload_slot(workload)
-        job = SimulationJob(self._submitted, self._traces[slot], spec, requested, slot)
+        job = SimulationJob(self._submitted, self._traces[slot], spec, slot)
         self._submitted += 1
         self._pending.append(job)
         return job
 
     def submit_many(
-        self,
-        jobs: Iterable[tuple[Trace | WorkloadSpec, PredictorSpec]],
-        *,
-        engine: str | None = None,
+        self, jobs: Iterable[tuple[Trace | WorkloadSpec, PredictorSpec]]
     ) -> list[SimulationJob]:
         """Queue many ``(workload, spec)`` pairs; returns their handles in order."""
-        return [self.submit(workload, spec, engine=engine) for workload, spec in jobs]
+        return [self.submit(workload, spec) for workload, spec in jobs]
 
     # -- planning -----------------------------------------------------------
 
-    def _resolve_engine(self, job: SimulationJob) -> str:
-        if job.engine == "auto":
-            if batchable_spec(job.spec):
-                return "batched"
-            # The rest take the engine's own auto route: a compiled
-            # kernel where the family has one, else the stateful
-            # predictor.  Only an explicit "reference" runs the oracle.
-            return "vectorized" if vectorizable_spec(job.spec) else "auto"
-        if job.engine == "batched":
-            check_batched(job.spec.build())
-        return job.engine
-
-    def _work_key(self, job: SimulationJob, engine: str) -> tuple[int, PredictorSpec, str]:
-        return (job.slot, job.spec, engine)
+    def _resolve_engine(self, spec: PredictorSpec) -> str:
+        """The plan label of a spec's batch: ``"batched"`` for the
+        two-level family under ``auto``, else the session's engine."""
+        if self.engine == "auto" and batchable_spec(spec):
+            return "batched"
+        return self.engine
 
     def plan(self) -> SessionPlan:
         """Group the pending jobs into engine invocations.
 
         Jobs are grouped per trace (first-submission order); within a
-        trace, unique (spec, engine) work items are deduplicated, all
-        batched-engine items form one :class:`PlannedBatch`, and the
-        rest get per-engine batches executed one spec at a time.
+        trace, unique specs are deduplicated, all batched items form
+        one :class:`PlannedBatch`, and the rest one batch executed one
+        spec at a time.
         """
-        # (trace slot, engine) -> {work key -> [jobs]}, insertion ordered.
-        grouped: dict[
-            tuple[int, str], dict[tuple[int, PredictorSpec, str], list[SimulationJob]]
-        ] = {}
+        # (trace slot, label) -> {spec -> [jobs]}, insertion ordered.
+        grouped: dict[tuple[int, str], dict[PredictorSpec, list[SimulationJob]]] = {}
         for job in self._pending:
-            engine = self._resolve_engine(job)
-            key = self._work_key(job, engine)
-            slot = key[0]
-            grouped.setdefault((slot, engine), {}).setdefault(key, []).append(job)
-
-        batches = []
-        for (slot, engine), entries in grouped.items():
-            batches.append(
+            batch = grouped.setdefault((job.slot, self._resolve_engine(job.spec)), {})
+            batch.setdefault(job.spec, []).append(job)
+        return SessionPlan(
+            batches=tuple(
                 PlannedBatch(
                     engine=engine,
                     trace=self._traces[slot],
                     entries=tuple(
-                        PlanEntry(
-                            spec=key[1],
-                            jobs=tuple(jobs),
-                            cached=key in self._memo,
-                        )
-                        for key, jobs in entries.items()
+                        PlanEntry(spec=spec, jobs=tuple(jobs), cached=(slot, spec) in self._memo)
+                        for spec, jobs in entries.items()
                     ),
                 )
+                for (slot, engine), entries in grouped.items()
             )
-        return SessionPlan(batches=tuple(batches))
+        )
 
     # -- execution ----------------------------------------------------------
 
@@ -455,72 +389,53 @@ class Session:
         queue is empty, but the memo persists, so resubmitting any
         job is free.
         """
-        plan = self.plan()
-        for batch in plan.batches:
+        for batch in self.plan().batches:
             slot = batch.entries[0].jobs[0].slot
-            fresh = [e for e in batch.entries if (slot, e.spec, batch.engine) not in self._memo]
-            if not fresh:
+            specs = [e.spec for e in batch.entries if (slot, e.spec) not in self._memo]
+            if not specs:
                 continue
-            if isinstance(batch.trace, StreamedTrace):
-                streamed = batch.trace
-                if batch.engine == "batched":
-                    # One multi-configuration pass over the chunk
-                    # iterator covers every entry, O(chunk) memory.
+            trace = batch.trace
+            streamed = isinstance(trace, StreamedTrace)
+            if batch.engine == "batched":
+                # One multi-configuration pass covers every entry; a
+                # streamed trace is fed chunk by chunk, O(chunk) memory.
+                predictors = [spec.build() for spec in specs]
+                if streamed:
                     results = simulate_batched_stream(
-                        [entry.spec.build() for entry in fresh],
-                        streamed.chunks(),
-                        backend=self.backend,
-                        trace_name=streamed.name,
+                        predictors, trace.chunks(), backend=self.backend, trace_name=trace.name
                     )
-                    for entry, result in zip(fresh, results):
-                        self._memo[(slot, entry.spec, batch.engine)] = result
                 else:
-                    for entry in fresh:
-                        self._memo[(slot, entry.spec, batch.engine)] = simulate_stream(
-                            entry.spec.build(),
-                            streamed.chunks(),
-                            engine=batch.engine,
-                            trace_name=streamed.name,
-                            backend=self.backend,
-                        )
-            elif batch.engine == "batched":
-                # One multi-configuration pass covers every entry.
-                results = simulate_batched(
-                    [entry.spec.build() for entry in fresh],
-                    batch.trace,
-                    backend=self.backend,
-                )
-                for entry, result in zip(fresh, results):
-                    self._memo[(slot, entry.spec, batch.engine)] = result
-            else:
-                for entry in fresh:
-                    self._memo[(slot, entry.spec, batch.engine)] = simulate(
-                        entry.spec.build(),
-                        batch.trace,
+                    results = simulate_batched(predictors, trace, backend=self.backend)
+            elif streamed:
+                results = [
+                    simulate_stream(
+                        spec.build(),
+                        trace.chunks(),
                         engine=batch.engine,
+                        trace_name=trace.name,
                         backend=self.backend,
                     )
+                    for spec in specs
+                ]
+            else:
+                results = [
+                    simulate(spec.build(), trace, engine=batch.engine, backend=self.backend)
+                    for spec in specs
+                ]
+            for spec, result in zip(specs, results):
+                self._memo[(slot, spec)] = result
 
         jobs = self._pending
         self._pending = []
-        results = {
-            job: self._memo[self._work_key(job, self._resolve_engine(job))]
-            for job in jobs
-        }
+        results = {job: self._memo[(job.slot, job.spec)] for job in jobs}
         return SessionResults(jobs, results)
 
-    def simulate(
-        self,
-        workload: Trace | WorkloadSpec,
-        spec: PredictorSpec,
-        *,
-        engine: str | None = None,
-    ) -> SimulationResult:
+    def simulate(self, workload: Trace | WorkloadSpec, spec: PredictorSpec) -> SimulationResult:
         """One-shot convenience: submit one job, run, return its result.
 
         Pending jobs submitted earlier run in the same pass (they stay
         planned together), so interleaving ``submit`` and ``simulate``
         does not lose batching.
         """
-        job = self.submit(workload, spec, engine=engine)
+        job = self.submit(workload, spec)
         return self.run()[job]

@@ -3,7 +3,7 @@
 A :class:`Trace` is an immutable, column-oriented sequence of branch
 records backed by numpy arrays (one array of PCs, one of outcomes).
 This layout keeps multi-million-record traces compact and lets the
-vectorized simulation engine and the statistics pass operate without
+array carriers and the statistics pass operate without
 per-record Python objects, while still exposing a convenient
 record-at-a-time view for the reference engine and for tests.
 

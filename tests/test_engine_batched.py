@@ -14,14 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    predictions_batched,
-    simulate,
     simulate_batched,
     simulate_batched_stream,
     simulate_reference,
-    simulate_stream,
-    simulate_sweep,
-    simulate_sweep_stream,
     stream_simulator,
     supports_batched,
 )
@@ -36,15 +31,7 @@ from repro.engine.batched import (
 )
 from repro.engine.results import count_misses
 from repro.errors import ConfigurationError
-from repro.session import Session
-from repro.spec import (
-    AgreeSpec,
-    BimodalSpec,
-    StaticSpec,
-    TournamentSpec,
-    TwoLevelSpec,
-    YagsSpec,
-)
+from repro.spec import BimodalSpec, TwoLevelSpec
 from repro.predictors import (
     BimodalPredictor,
     YagsPredictor,
@@ -54,6 +41,7 @@ from repro.predictors import (
     make_pshare,
     paper_predictor,
 )
+from repro.predictors.paper_configs import HISTORY_LENGTHS
 from repro.trace import Trace, concat
 
 
@@ -106,16 +94,16 @@ class TestPredictionsBatched:
     def test_matches_reference_per_config(self, backend):
         trace = random_trace(1, 3000, 40)
         predictors = mixed_predictors()
-        batched = predictions_batched(predictors, trace, backend=backend)
+        batched = BatchedStream(predictors, backend=backend).feed(trace.pcs, trace.outcomes)
         for predictor, predictions in zip(predictors, batched):
             assert np.array_equal(predictions, reference_predictions(predictor, trace))
 
     def test_chunking_is_invisible(self, monkeypatch):
         trace = random_trace(2, 2000, 30)
         predictors = [paper_predictor("gas", k) for k in range(8)]
-        full = predictions_batched(predictors, trace)
+        full = BatchedStream(predictors).feed(trace.pcs, trace.outcomes)
         monkeypatch.setattr(batched_engine, "MAX_CHUNK_ELEMENTS", 500)
-        tiny = predictions_batched(predictors, trace)
+        tiny = BatchedStream(predictors).feed(trace.pcs, trace.outcomes)
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 
@@ -123,20 +111,19 @@ class TestPredictionsBatched:
     def test_duplicate_configs_share_one_simulation(self, backend):
         trace = random_trace(3, 1500, 20)
         predictors = [paper_predictor("pas", 0), paper_predictor("gas", 0)]
-        a, b = predictions_batched(predictors, trace, backend=backend)
+        a, b = BatchedStream(predictors, backend=backend).feed(trace.pcs, trace.outcomes)
         # PAs-h0 and GAs-h0 are the same machine; the engine dedupes
         # them into one simulation, and both views must agree.
         assert a is b
 
     def test_empty_trace(self):
-        results = predictions_batched(
-            [make_gas(2, pht_index_bits=6)], Trace.empty()
-        )
+        empty = Trace.empty()
+        results = BatchedStream([make_gas(2, pht_index_bits=6)]).feed(empty.pcs, empty.outcomes)
         assert len(results) == 1 and len(results[0]) == 0
 
     def test_rejects_unsupported(self):
-        with pytest.raises(ConfigurationError):
-            predictions_batched([YagsPredictor()], random_trace(4, 100, 5))
+        with pytest.raises(ConfigurationError, match="YagsPredictor cannot join a batched pass"):
+            BatchedStream([YagsPredictor()])
         assert not supports_batched(YagsPredictor())
         assert supports_batched(make_gas(2, pht_index_bits=6))
 
@@ -159,49 +146,50 @@ class TestSimulateBatched:
         assert simulate_batched([], random_trace(7, 100, 5)) == []
 
 
-class TestSimulateSweep:
+class TestPaperSweep:
+    """The paper's PAs/GAs sweep is one ``simulate_batched`` call."""
+
     def test_matches_reference_every_config(self):
         trace = random_trace(8, 2000, 40)
-        lengths = tuple(range(0, 7))
-        sweep = simulate_sweep(trace, history_lengths=lengths)
-        for kind in ("pas", "gas"):
-            for k in lengths:
-                ref = simulate_reference(paper_predictor(kind, k), trace)
-                got = sweep.result(kind, k)
-                assert np.array_equal(got.mispredictions, ref.mispredictions), (
-                    f"mismatch for {kind} h{k}"
-                )
+        keys = [(kind, k) for kind in ("pas", "gas") for k in range(0, 7)]
+        results = simulate_batched([paper_predictor(kind, k) for kind, k in keys], trace)
+        for (kind, k), got in zip(keys, results):
+            ref = simulate_reference(paper_predictor(kind, k), trace)
+            assert np.array_equal(got.mispredictions, ref.mispredictions), (
+                f"mismatch for {kind} h{k}"
+            )
 
-    def test_keys_and_shared_columns(self):
+    def test_shared_columns(self):
         trace = random_trace(9, 800, 10)
-        sweep = simulate_sweep(trace, kinds=("gas",), history_lengths=(0, 2, 4))
-        assert sweep.keys() == [("gas", 0), ("gas", 2), ("gas", 4)]
-        assert sweep.executions.sum() == len(trace)
-        assert np.array_equal(sweep.pcs, np.unique(trace.pcs))
-
-    def test_unknown_config_raises(self):
-        sweep = simulate_sweep(random_trace(10, 500, 8), history_lengths=(0, 1))
-        with pytest.raises(ConfigurationError):
-            sweep.mispredictions("gas", 9)
+        results = simulate_batched([paper_predictor("gas", k) for k in (0, 2, 4)], trace)
+        for result in results:
+            assert result.executions.sum() == len(trace)
+            assert np.array_equal(result.pcs, np.unique(trace.pcs))
 
     def test_empty_trace(self):
-        sweep = simulate_sweep(Trace.empty(), history_lengths=(0, 1))
-        assert len(sweep.pcs) == 0
-        assert sweep.result("pas", 1).total_executions == 0
+        results = simulate_batched([paper_predictor("pas", 1)], Trace.empty())
+        assert len(results[0].pcs) == 0
+        assert results[0].total_executions == 0
+
+    def test_unknown_config_raises(self):
+        # The sweep covers PAs/GAs at the paper's history lengths only.
+        with pytest.raises(ConfigurationError, match="history lengths"):
+            paper_predictor("gas", HISTORY_LENGTHS[-1] + 1)
+        with pytest.raises(ConfigurationError, match="unknown paper predictor kind"):
+            paper_predictor("gshare", 4)
 
 
 class TestSweepEngineAgreement:
     """run_sweep grids are identical whichever engine computes them."""
 
-    @pytest.mark.parametrize("forced", ["vectorized", "reference"])
-    def test_grids_match(self, forced):
+    def test_grids_match(self):
         from repro.analysis import SweepConfig, run_sweep
 
         trace = random_trace(11, 1200, 25)
         lengths = tuple(range(0, 5))
         batched = run_sweep([trace], SweepConfig(history_lengths=lengths))
         other = run_sweep(
-            [trace], SweepConfig(history_lengths=lengths, engine=forced)
+            [trace], SweepConfig(history_lengths=lengths, engine="reference")
         )
         for kind in ("pas", "gas"):
             assert np.array_equal(
@@ -216,35 +204,6 @@ class TestSweepEngineAgreement:
 
         with pytest.raises(ConfigurationError):
             SweepConfig(engine="quantum")
-
-
-class TestBatchedEngineRequests:
-    """Every entry point rejects engine="batched" for other families
-    with the same error."""
-
-    @pytest.mark.parametrize("spec", [AgreeSpec(), TournamentSpec(), StaticSpec(), YagsSpec()])
-    @pytest.mark.parametrize("entry", ["simulate", "simulate_stream", "Session"])
-    def test_non_twolevel_rejected(self, entry, spec):
-        trace = random_trace(12, 200, 10)
-        name = type(spec.build()).__name__
-        with pytest.raises(ConfigurationError, match=f"{name} cannot use the batched engine"):
-            if entry == "simulate":
-                simulate(spec, trace, engine="batched")
-            elif entry == "simulate_stream":
-                simulate_stream(spec, [trace], engine="batched")
-            else:
-                session = Session(engine="batched")
-                session.submit(trace, spec)
-                session.run()
-
-    def test_twolevel_accepted(self):
-        trace = random_trace(13, 500, 10)
-        expected = simulate_reference(paper_predictor("gas", 4), trace)
-        for result in (
-            simulate(paper_predictor("gas", 4), trace, engine="batched"),
-            simulate_stream(paper_predictor("gas", 4), [trace], engine="batched"),
-        ):
-            assert np.array_equal(result.mispredictions, expected.mispredictions)
 
 
 @st.composite
@@ -509,7 +468,5 @@ class TestBatchedStreamSplits:
         assert all(r.total_executions == 0 and len(r.pcs) == 0 for r in results)
 
     def test_sweep_without_configurations(self, backend):
-        sweep = simulate_sweep_stream([self.TRACE], kinds=(), trace_name="none", backend=backend)
-        assert sweep.keys() == []
-        assert sweep.trace_name == "none"
-        assert len(sweep.pcs) == 0
+        results = simulate_batched_stream([], chunks_of(self.TRACE, 997), backend=backend)
+        assert results == []

@@ -1,10 +1,10 @@
-"""Exact-equivalence tests: vectorized engine vs reference engine.
+"""Exact-equivalence tests: the carriers vs the reference engine.
 
 These are the load-bearing tests of the repo: every paper experiment
-runs on the vectorized engine, and these tests pin its semantics to the
-step-accurate reference for the full two-level family across history
-kinds, index schemes, history lengths, aliasing regimes and counter
-widths.
+runs on the carriers (``simulate``), and these tests pin their
+semantics to the step-accurate reference for the full two-level family
+across history kinds, index schemes, history lengths, aliasing regimes
+and counter widths, and for the agree, tournament and hybrid carriers.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import simulate_reference, simulate_vectorized, supports_vectorized
+from repro.engine import simulate, simulate_reference
 from repro.predictors import (
     AgreePredictor,
     AlwaysNotTakenPredictor,
@@ -42,7 +42,7 @@ def random_trace(seed, n, num_pcs, bias=0.5):
 
 def assert_equivalent(predictor_factory, trace):
     ref = simulate_reference(predictor_factory(), trace)
-    vec = simulate_vectorized(predictor_factory(), trace)
+    vec = simulate(predictor_factory(), trace)
     assert ref.total_executions == vec.total_executions
     assert np.array_equal(ref.pcs, vec.pcs)
     assert np.array_equal(ref.mispredictions, vec.mispredictions), (
@@ -132,14 +132,14 @@ class TestEquivalenceOther:
 
     def test_empty_trace(self):
         trace = Trace.empty()
-        vec = simulate_vectorized(make_gas(4, pht_index_bits=8), trace)
+        vec = simulate(make_gas(4, pht_index_bits=8), trace)
         assert vec.total_executions == 0
         assert vec.miss_rate == 0.0
 
     def test_single_record(self):
         trace = Trace.from_pairs([(0x40, 1)])
         ref = simulate_reference(make_gas(2, pht_index_bits=6), trace)
-        vec = simulate_vectorized(make_gas(2, pht_index_bits=6), trace)
+        vec = simulate(make_gas(2, pht_index_bits=6), trace)
         assert ref.total_mispredictions == vec.total_mispredictions
 
 
@@ -204,15 +204,13 @@ class TestEquivalenceTournament:
             random_trace(25, 3000, 30),
         )
 
-    def test_supports_requires_both_components(self):
-        supported = TournamentPredictor(
-            make_gshare(3, pht_index_bits=6), BimodalPredictor(entries=32)
+    def test_per_record_component(self):
+        # A component without an array carrier runs its own carrier
+        # (YAGS: the C kernel, or the stepped predictor without one).
+        assert_equivalent(
+            lambda: TournamentPredictor(make_gshare(3, pht_index_bits=6), YagsPredictor()),
+            random_trace(30, 3000, 40),
         )
-        unsupported = TournamentPredictor(
-            make_gshare(3, pht_index_bits=6), YagsPredictor()
-        )
-        assert supports_vectorized(supported)
-        assert not supports_vectorized(unsupported)
 
 
 class TestEquivalenceHybrid:
@@ -254,16 +252,14 @@ class TestEquivalenceHybrid:
         def factory():
             hybrid, _ = design_hybrid(profile)
             return hybrid
-        assert supports_vectorized(factory())
         assert_equivalent(factory, trace)
 
-    def test_supports_requires_all_components(self):
-        good = ClassRoutedHybrid([make_gas(2, pht_index_bits=6)], lambda pc: 0)
-        bad = ClassRoutedHybrid(
-            [make_gas(2, pht_index_bits=6), YagsPredictor()], lambda pc: pc % 2
-        )
-        assert supports_vectorized(good)
-        assert not supports_vectorized(bad)
+    def test_per_record_component(self):
+        def factory():
+            return ClassRoutedHybrid(
+                [make_gas(2, pht_index_bits=6), YagsPredictor()], lambda pc: (pc >> 2) % 2
+            )
+        assert_equivalent(factory, random_trace(31, 3000, 40))
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError, TraceError
 from repro.predictors import (
     AlwaysTakenPredictor,
     OraclePredictor,
-    YagsPredictor,
     make_gas,
 )
 from repro.spec import YagsSpec
@@ -145,22 +144,6 @@ class TestSimulateDispatch:
         trace = Trace.from_pairs([(1, 1)] * 10)
         result = simulate(AlwaysTakenPredictor(), trace)
         assert result.total_mispredictions == 0
-
-    def test_vectorized_rejects_unsupported(self):
-        trace = Trace.from_pairs([(1, 1)])
-        with pytest.raises(ConfigurationError):
-            simulate(YagsPredictor(), trace, engine="vectorized")
-
-    def test_batched_engine_single_predictor(self):
-        trace = Trace.from_pairs([(1, 1), (2, 0)] * 50)
-        r_batched = simulate(make_gas(2, pht_index_bits=8), trace, engine="batched")
-        r_ref = simulate(make_gas(2, pht_index_bits=8), trace, engine="reference")
-        assert np.array_equal(r_batched.mispredictions, r_ref.mispredictions)
-
-    def test_batched_rejects_unsupported(self):
-        trace = Trace.from_pairs([(1, 1)])
-        with pytest.raises(ConfigurationError):
-            simulate(YagsPredictor(), trace, engine="batched")
 
     def test_unknown_engine(self):
         with pytest.raises(ConfigurationError):

@@ -15,14 +15,23 @@ from repro.analysis.history_sweep import SweepConfig, sweep_trace, sweep_workloa
 from repro.classify.profile import ProfileTable
 from repro.engine import (
     simulate,
+    simulate_batched,
     simulate_batched_stream,
     simulate_reference,
     simulate_stream,
-    simulate_sweep,
-    simulate_sweep_stream,
+    stream_simulator,
+)
+from repro.engine.backend import _KernelStream, resolve_backend
+from repro.engine.streaming import (
+    _AgreeStream,
+    _HybridStream,
+    _OneConfig,
+    _ReferenceStream,
+    _StaticStream,
+    _TournamentStream,
 )
 from repro.errors import ConfigurationError
-from repro.predictors.paper_configs import paper_spec
+from repro.predictors.paper_configs import HISTORY_LENGTHS, paper_spec
 from repro.session import Session, StreamedTrace
 from repro.spec import (
     AgreeSpec,
@@ -100,12 +109,22 @@ def family_specs():
 
 FAMILY_SPECS = family_specs()
 
+#: Combining predictors whose components have no array carrier: each
+#: component runs its own carrier inside the tournament or hybrid.
+COMPONENT_SPECS = {
+    "tournament-yags": TournamentSpec(first=YagsSpec()),
+    "hybrid-dhlf-bimodal-last-outcome": HybridSpec(
+        components=(DhlfSpec(), BimodalSpec(), LastOutcomeSpec()),
+        routes=tuple((int(pc), i % 3) for i, pc in enumerate(np.unique(TRACE.pcs).tolist())),
+    ),
+}
+
 
 class TestSimulateStreamEquivalence:
-    @pytest.mark.parametrize("kind", sorted(FAMILY_SPECS))
+    @pytest.mark.parametrize("kind", sorted(FAMILY_SPECS) + sorted(COMPONENT_SPECS))
     @pytest.mark.parametrize("chunk_len", CHUNK_LENGTHS)
     def test_every_family_bit_identical(self, kind, chunk_len):
-        spec = FAMILY_SPECS[kind]
+        spec = {**FAMILY_SPECS, **COMPONENT_SPECS}[kind]
         base = simulate_reference(spec.build(), TRACE)
         result = simulate_stream(spec, chunks_of(TRACE, chunk_len))
         assert np.array_equal(result.pcs, base.pcs)
@@ -127,10 +146,6 @@ class TestSimulateStreamEquivalence:
         result = simulate_stream(spec, chunks_of(TRACE, 333), engine="reference")
         assert np.array_equal(result.mispredictions, base.mispredictions)
 
-    def test_vectorized_engine_rejects_unsupported(self):
-        with pytest.raises(ConfigurationError):
-            simulate_stream(YagsSpec(), chunks_of(TRACE, 100), engine="vectorized")
-
     def test_accepts_pairs_and_empty_chunks(self):
         spec = BimodalSpec()
         base = simulate(spec, TRACE)
@@ -148,6 +163,45 @@ class TestSimulateStreamEquivalence:
         assert result.total_executions == 0
 
 
+#: The carrier ``stream_simulator`` picks under ``auto``, per spec kind.
+#: YAGS, bi-mode, filter and DHLF step a C kernel on ``cext`` and the
+#: predictor itself on ``python``.
+PER_RECORD = _KernelStream if resolve_backend() == "cext" else _ReferenceStream
+CARRIERS = {
+    "static": _StaticStream,
+    "profile-static": _StaticStream,
+    "last-outcome": _ReferenceStream,
+    "bimodal": _OneConfig,
+    "two-level": _OneConfig,
+    "agree": _AgreeStream,
+    "yags": PER_RECORD,
+    "bimode": PER_RECORD,
+    "filter": PER_RECORD,
+    "dhlf": PER_RECORD,
+    "tournament": _TournamentStream,
+    "hybrid": _HybridStream,
+}
+
+
+class TestCarrierDispatch:
+    """``stream_simulator`` is one flat choice by family; a tournament
+    or hybrid runs each component on that component's own carrier."""
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_SPECS) + sorted(COMPONENT_SPECS))
+    def test_family_carrier(self, kind):
+        spec = {**FAMILY_SPECS, **COMPONENT_SPECS}[kind]
+        carrier = stream_simulator(spec.build())
+        assert type(carrier) is CARRIERS[spec.kind]
+        if isinstance(spec, TournamentSpec):
+            assert type(carrier.first) is CARRIERS[spec.first.kind]
+            assert type(carrier.second) is CARRIERS[spec.second.kind]
+        if isinstance(spec, HybridSpec):
+            assert [type(c) for c in carrier.components] == [
+                CARRIERS[c.kind] for c in spec.components
+            ]
+        assert type(stream_simulator(spec.build(), engine="reference")) is _ReferenceStream
+
+
 class TestBatchedStreamEquivalence:
     def test_batched_stream_matches_batched(self):
         specs = [paper_spec("pas", k) for k in (0, 2, 6)] + [
@@ -163,14 +217,14 @@ class TestBatchedStreamEquivalence:
                 assert np.array_equal(result.executions, base.executions)
 
     @pytest.mark.parametrize("chunk_len", (999, 1 << 10))
-    def test_full_sweep_stream_bit_identical(self, chunk_len):
-        base = simulate_sweep(TRACE)
-        sweep = simulate_sweep_stream(chunks_of(TRACE, chunk_len))
-        assert np.array_equal(sweep.pcs, base.pcs)
-        assert np.array_equal(sweep.executions, base.executions)
-        assert sweep.keys() == base.keys()
-        for key in base.keys():
-            assert np.array_equal(sweep.mispredictions(*key), base.mispredictions(*key))
+    def test_paper_configs_chunked_bit_identical(self, chunk_len):
+        specs = [paper_spec(kind, k) for kind in ("pas", "gas") for k in HISTORY_LENGTHS]
+        bases = simulate_batched([s.build() for s in specs], TRACE)
+        results = simulate_batched_stream([s.build() for s in specs], chunks_of(TRACE, chunk_len))
+        for base, result in zip(bases, results):
+            assert np.array_equal(result.pcs, base.pcs)
+            assert np.array_equal(result.executions, base.executions)
+            assert np.array_equal(result.mispredictions, base.mispredictions)
 
 
 class TestStreamingStats:

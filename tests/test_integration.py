@@ -19,7 +19,6 @@ from repro import (
     save_trace,
     simulate,
     simulate_reference,
-    simulate_vectorized,
 )
 from repro.workloads.programs import run_kernel
 from repro.workloads.synthetic import SPEC95_INPUTS, input_trace
@@ -66,7 +65,7 @@ class TestEnginesOnRealisticTraces:
         trace = run_kernel(kernel, size=80, seed=9).trace
         for factory in (lambda: paper_pas(6), lambda: paper_gas(6)):
             ref = simulate_reference(factory(), trace)
-            vec = simulate_vectorized(factory(), trace)
+            vec = simulate(factory(), trace)
             assert np.array_equal(ref.mispredictions, vec.mispredictions)
 
     def test_benchmark_population_equivalence(self):
@@ -74,7 +73,7 @@ class TestEnginesOnRealisticTraces:
         trace = input_trace(li, scale=0.05)
         for k in (0, 3, 12):
             ref = simulate_reference(paper_pas(k), trace)
-            vec = simulate_vectorized(paper_pas(k), trace)
+            vec = simulate(paper_pas(k), trace)
             assert ref.total_mispredictions == vec.total_mispredictions
 
 

@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 
 from repro.analysis import SweepConfig, run_sweep
-from repro.engine import simulate_reference, simulate_sweep
+from repro.cli import main
+from repro.engine import (
+    simulate,
+    simulate_batched,
+    simulate_reference,
+    simulate_stream,
+    stream_simulator,
+)
 from repro.errors import ConfigurationError
+from repro.pipeline import PipelineConfig
 from repro.predictors.paper_configs import HISTORY_LENGTHS, paper_spec
-from repro.session import Session, batchable_spec, vectorizable_spec
+from repro.service.jobs import JobSpec
+from repro.session import ENGINES, Session, batchable_spec
 from repro.workload_spec import KernelSpec, kernel_suite
 from repro.spec import (
     AgreeSpec,
     BimodalSpec,
     DhlfSpec,
-    HybridSpec,
-    StaticSpec,
-    TournamentSpec,
     TwoLevelSpec,
     YagsSpec,
 )
@@ -66,9 +72,9 @@ class TestPlanning:
         session.submit(trace, YagsSpec(history_bits=5, cache_index_bits=5, choice_index_bits=6))
         plan = session.plan()
         engines = {b.engine: len(b.entries) for b in plan.batches}
-        # YAGS takes the engine's auto route (its compiled kernel), not
-        # the oracle.
-        assert engines == {"batched": 2, "vectorized": 1, "auto": 1}
+        # Agree and YAGS take the engine's auto route (their carriers),
+        # not the oracle.
+        assert engines == {"batched": 2, "auto": 2}
 
     def test_jobs_grouped_per_trace(self):
         t1, t2 = random_trace(seed=1, name="a"), random_trace(seed=2, name="b")
@@ -88,18 +94,6 @@ class TestPlanning:
         plan = session.plan()
         assert plan.batches[0].engine == "reference"
 
-    def test_per_job_engine_overrides_default(self):
-        trace = random_trace()
-        session = Session()
-        session.submit(trace, TwoLevelSpec.gas(2), engine="vectorized")
-        assert session.plan().batches[0].engine == "vectorized"
-
-    def test_batched_engine_rejects_unsupported_spec(self):
-        session = Session(engine="batched")
-        session.submit(random_trace(), YagsSpec())
-        with pytest.raises(ConfigurationError):
-            session.plan()
-
     def test_describe_mentions_batching(self):
         session = Session()
         session.submit(random_trace(), TwoLevelSpec.gas(2))
@@ -116,9 +110,8 @@ class TestExecution:
         jobs = {key: session.submit(trace, paper_spec(*key)) for key in PAPER_JOB_KEYS}
         results = session.run()
 
-        sweep = simulate_sweep(trace)
-        for key, job in jobs.items():
-            expected = sweep.result(*key)
+        sweep = simulate_batched([paper_spec(*key).build() for key in PAPER_JOB_KEYS], trace)
+        for expected, job in zip(sweep, jobs.values()):
             got = results[job]
             assert np.array_equal(got.pcs, expected.pcs)
             assert np.array_equal(got.mispredictions, expected.mispredictions)
@@ -165,12 +158,12 @@ class TestExecution:
         assert results.of(1) is results[jobs[1]]
         assert len(results) == 3
 
-    def test_vectorized_and_reference_agree_through_session(self):
+    def test_auto_and_reference_agree_through_session(self):
         trace = random_trace(n=500)
         spec = AgreeSpec(history_bits=5, pht_index_bits=7, bias_entries=1 << 6)
-        vec = Session(engine="vectorized").simulate(trace, spec)
+        auto = Session(engine="auto").simulate(trace, spec)
         ref = Session(engine="reference").simulate(trace, spec)
-        assert np.array_equal(vec.mispredictions, ref.mispredictions)
+        assert np.array_equal(auto.mispredictions, ref.mispredictions)
 
     def test_per_record_family_takes_the_engine_auto_route(self):
         trace = random_trace(n=300)
@@ -328,9 +321,20 @@ class TestSubmitValidation:
     def test_rejects_bad_engine(self):
         with pytest.raises(ConfigurationError):
             Session(engine="warp")
-        session = Session()
-        with pytest.raises(ConfigurationError):
-            session.submit(random_trace(), TwoLevelSpec.gas(2), engine="warp")
+
+    def test_engine_is_set_once_per_session(self):
+        # No per-job override: every job runs on ``Session(engine=)``.
+        trace, spec = random_trace(), TwoLevelSpec.gas(2)
+        session = Session(engine="reference")
+        for call in (
+            lambda: session.submit(trace, spec, engine="auto"),
+            lambda: session.submit_many([(trace, spec)], engine="auto"),
+            lambda: session.simulate(trace, spec, engine="auto"),
+        ):
+            with pytest.raises(TypeError, match="engine"):
+                call()
+        session.submit(trace, spec)
+        assert [b.engine for b in session.plan().batches] == ["reference"]
 
     def test_submit_many(self):
         trace = random_trace()
@@ -342,27 +346,46 @@ class TestSubmitValidation:
 
 class TestSpecRouting:
     def test_predicates_pinned_to_engine_capabilities(self):
-        # The planner's spec-level routing must agree with the engines'
-        # own capability checks for every family; widening one layer
-        # without the other silently degrades jobs to the reference
-        # engine, which this test turns into a loud failure.
-        from repro.engine import supports_batched, supports_vectorized
+        # The planner's spec-level batching check must agree with the
+        # engine's own for every family: a spec batched that the
+        # carrier rejects fails the run, and one the planner misses
+        # loses its shared pass.
+        from repro.engine import supports_batched
         from test_spec import SPEC_CATALOGUE
 
         for spec in SPEC_CATALOGUE:
-            predictor = spec.build()
-            assert batchable_spec(spec) == supports_batched(predictor), spec.kind
-            assert vectorizable_spec(spec) == supports_vectorized(predictor), spec.kind
+            assert batchable_spec(spec) == supports_batched(spec.build()), spec.kind
 
     def test_batchable(self):
         assert batchable_spec(TwoLevelSpec.gas(2))
         assert batchable_spec(BimodalSpec(entries=1 << 8))
         assert not batchable_spec(YagsSpec())
 
-    def test_vectorizable_recurses_components(self):
-        good = TournamentSpec(first=BimodalSpec(entries=1 << 8), second=TwoLevelSpec.gshare(5))
-        assert vectorizable_spec(good)
-        bad = TournamentSpec(first=BimodalSpec(entries=1 << 8), second=YagsSpec())
-        assert not vectorizable_spec(bad)
-        hybrid = HybridSpec(components=(StaticSpec(), DhlfSpec()), routes=())
-        assert not vectorizable_spec(hybrid)
+
+@pytest.mark.parametrize("engine", ["batched", "vectorized"])
+def test_retired_engine_values_rejected_everywhere(engine, capsys):
+    """``engine`` is ``"auto"`` or ``"reference"`` at every layer that
+    takes one; the values that only named a carrier ``auto`` already
+    picks are configuration errors."""
+    assert ENGINES == ("auto", "reference")
+    trace = random_trace(n=50)
+    spec = TwoLevelSpec.gas(2)
+    layers = {
+        "simulate": lambda: simulate(spec, trace, engine=engine),
+        "simulate_stream": lambda: simulate_stream(spec, [trace], engine=engine),
+        "stream_simulator": lambda: stream_simulator(spec.build(), engine=engine),
+        "Session": lambda: Session(engine=engine),
+        "SweepConfig": lambda: SweepConfig(engine=engine),
+        "PipelineConfig": lambda: PipelineConfig(engine=engine),
+        "JobSpec": lambda: JobSpec.from_request({"experiments": ["fig3"], "engine": engine}),
+    }
+    for layer, call in layers.items():
+        try:
+            call()
+        except ConfigurationError:
+            continue
+        pytest.fail(f"{layer} accepted engine={engine!r}")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "fig3", "--engine", engine])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
