@@ -1,24 +1,26 @@
 """Execution-backend selection for the compiled kernels.
 
-Two kinds of loop have a compiled form.  The four per-record families
-(YAGS, bi-mode, filter-over-two-level, DHLF) carry state that defeats
-the segmented-scan carriers, so they advance one record at a time.  The
-two-level carrier (:class:`~repro.engine.batched.BatchedStream`, which
-runs the paper's history sweep) advances every configuration over a
-chunk.  This module picks *how* those loops run:
+Three kinds of loop have a compiled form.  The four per-record
+families (YAGS, bi-mode, filter-over-two-level, DHLF) carry state that
+defeats the segmented-scan carriers, so they advance one record at a
+time.  The two-level carrier (:class:`~repro.engine.batched.BatchedStream`,
+which runs the paper's history sweep) advances every configuration over
+a chunk.  Perf ingest tokenizes ``perf script`` text a block of lines at
+a time.  This module picks *how* those loops run:
 
 ``python``
-    No compiled code: the two-level carrier runs its numpy scans, and
-    the per-record families step the stateful predictors themselves
-    (the oracle's stream,
-    :class:`~repro.engine.streaming._ReferenceStream`).  Always
-    available.
+    No compiled code: the two-level carrier runs its numpy scans, the
+    per-record families step the stateful predictors themselves (the
+    oracle's stream,
+    :class:`~repro.engine.streaming._ReferenceStream`), and perf ingest
+    parses every line in Python.  Always available.
 ``cext``
     C built on demand with the host C compiler and loaded through
     ctypes (:mod:`repro.engine.compiled.cext`): a transliteration of
-    each per-record family's predictor, and the ``sweep_step`` kernel
-    of the two-level carrier.  Available when a working compiler is
-    found.
+    each per-record family's predictor, the ``sweep_step`` kernel of
+    the two-level carrier, and the ``perf_scan`` tokenizer of perf
+    ingest (:mod:`repro.ingest.perf`).  Available when a working
+    compiler is found.
 ``auto``
     The fastest available: ``cext``, else ``python``.
 
@@ -68,7 +70,8 @@ def backend_availability() -> dict[str, tuple[bool, str]]:
         "python": (
             True,
             "numpy scans for the two-level family; the stateful predictors for "
-            "YAGS, bi-mode, filter and DHLF (always available)",
+            "YAGS, bi-mode, filter and DHLF; the per-line perf script parser "
+            "(always available)",
         ),
         "cext": cext.available(),
     }

@@ -21,7 +21,11 @@ in :mod:`repro.predictors` over flat array state, one chunk per call;
 over one chunk, the first writing each configuration's predictions,
 the second adding each configuration's misses per branch; they are
 tested against the carrier's numpy path and the oracle
-(``tests/test_engine_batched.py``).
+(``tests/test_engine_batched.py``).  ``perf_scan`` tokenizes a block of
+``perf script`` text for :mod:`repro.ingest.perf` and decodes the lines
+made of a header and well-formed brstack entries only, handing every
+other line back to the per-line parser; ``tests/test_ingest_perf.py``
+and ``tests/test_ingest_perf_fuzz.py`` pin its route to that parser's.
 
 Every call is checked before it reaches C: each array must have its
 parameter's dtype and be C-contiguous (and writeable where C writes),
@@ -29,7 +33,8 @@ parameter's dtype and be C-contiguous (and writeable where C writes),
 branch id of ``sweep_count`` must index inside its miss matrix.  A bad
 array raises :class:`~repro.errors.ConfigurationError`.  The sweep's
 table layout is checked once, when its carrier is built
-(:func:`check_sweep_tables`).
+(:func:`check_sweep_tables`); ``perf_scan``'s outputs are sized from
+its block (:func:`perf_scan`), and C writes none past its length.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from ...spec import MAX_HISTORY_BITS
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 #define EXPORT __attribute__((visibility("default")))
 
@@ -303,6 +309,200 @@ EXPORT void sweep_count(
 {
     sweep_configs(n, pcs, outcomes, 0, ids, width, misses, regs, params, pht, bht, 1);
 }
+
+/* `perf script` text.  Whitespace is what Python's str.split() splits
+   ASCII on; a byte >= 0x80 is never read as anything, so its line goes
+   back to the per-line parser. */
+static inline int perf_space(uint8_t c)
+{
+    return c == ' ' || (c >= 9 && c <= 13) || (c >= 0x1c && c <= 0x1f);
+}
+
+static inline int perf_hex(uint8_t c)
+{
+    if (c >= '0' && c <= '9') return c - '0';
+    c |= 0x20;
+    return c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
+}
+
+static inline int perf_digit(uint8_t c) { return c >= '0' && c <= '9'; }
+
+static int perf_ascii(const uint8_t *s, const uint8_t *e)
+{
+    for (; s < e; s++)
+        if (*s & 0x80) return 0;
+    return 1;
+}
+
+/* The pid of a `pid` or `pid/tid` token; -1 when the token is neither,
+   -2 when the pid has more digits than an int64 always holds. */
+static int64_t perf_pid(const uint8_t *s, const uint8_t *e)
+{
+    const uint8_t *p = s, *digits;
+    while (p < e && perf_digit(*p)) p++;
+    digits = p;
+    if (p == s) return -1;
+    if (p < e) {
+        const uint8_t *tid = ++p;
+        if (tid[-1] != '/') return -1;
+        while (p < e && perf_digit(*p)) p++;
+        if (p == tid || p < e) return -1;
+    }
+    if (digits - s > 18) return -2;
+    int64_t pid = 0;
+    for (p = s; p < digits; p++) pid = pid * 10 + (*p - '0');
+    return pid;
+}
+
+/* A `123` or `123.456` token followed by its ':' (e is past the ':'). */
+static int perf_timestamp(const uint8_t *s, const uint8_t *e)
+{
+    const uint8_t *p = s, *colon = e - 1;
+    while (p < colon && perf_digit(*p)) p++;
+    if (p == s) return 0;
+    if (p < colon) {
+        const uint8_t *fraction = ++p;
+        if (fraction[-1] != '.') return 0;
+        while (p < colon && perf_digit(*p)) p++;
+        if (p == fraction) return 0;
+    }
+    return p == colon;
+}
+
+/* One brstack entry `0xFROM/(0xTO|-)/FLAGS[/...]`: its FROM (1-16 hex
+   digits, below 2^63) and whether it was taken (no N or n in FLAGS).
+   Under cond_only the entry must have fewer than 6 slashes, so it has
+   no type field.  Returns 0 when any of that does not hold. */
+static int perf_entry(const uint8_t *s, const uint8_t *e, int64_t cond_only,
+                      int64_t *pc, uint8_t *taken)
+{
+    const uint8_t *p = s + 2, *flags;
+    uint64_t from = 0;
+    int digit, not_taken = 0, slashes = 2;
+    if (e - s < 3 || s[0] != '0' || s[1] != 'x') return 0;
+    for (; p < e && (digit = perf_hex(*p)) >= 0; p++) {
+        if (p - s == 18) return 0;
+        from = (from << 4) | (uint64_t)digit;
+    }
+    if (p == s + 2 || p == e || *p != '/' || from >> 63) return 0;
+    p++;
+    if (p < e && *p == '-') {
+        p++;
+    } else {
+        if (e - p < 3 || p[0] != '0' || p[1] != 'x' || perf_hex(p[2]) < 0) return 0;
+        for (p += 3; p < e && perf_hex(*p) >= 0; p++) {}
+    }
+    if (p == e || *p != '/') return 0;
+    flags = ++p;
+    for (; p < e; p++) {
+        const uint8_t letter = *p | 0x20;
+        if (*p != '-' && (letter < 'a' || letter > 'z')) break;
+        not_taken |= letter == 'n';
+    }
+    if (p == flags || (p < e && *p != '/')) return 0;
+    for (; p < e; p++) {
+        if (*p & 0x80) return 0;
+        slashes += *p == '/';
+    }
+    if (cond_only && slashes >= 6) return 0;
+    *pc = (int64_t)from;
+    *taken = (uint8_t)!not_taken;
+    return 1;
+}
+
+/* Splits `buf` at '\n' and writes one PERF_COLUMNS row per line: its
+   kind, the offset of its end, its event (an index into `events`, -1
+   for none), its pid (-1 for none) and its record count.  A line is
+   skipped (blank or a comment), scanned (a header, then only entries
+   perf_entry accepts; its records go to `pcs` and `taken`) or handed
+   back to the per-line parser.  No array is written past its capacity:
+   a line whose records or event do not fit is handed back, and lines
+   past `line_cap` are not reported.  `totals` gets the lines, records
+   and events written. */
+EXPORT void perf_scan(
+    const uint8_t *buf, int64_t n, int64_t cond_only,
+    int64_t *lines, int64_t line_cap,
+    int64_t *pcs, uint8_t *taken, int64_t record_cap,
+    int64_t *events, int64_t event_cap, int64_t *totals)
+{
+    const uint8_t *line = buf, *end = buf + n;
+    int64_t nl = 0, nr = 0, ne = 0;
+    while (nl < line_cap) {
+        const uint8_t *eol = memchr(line, '\n', (size_t)(end - line));
+        if (!eol) eol = end;
+        const uint8_t *p = line, *event = 0;
+        int64_t kind = 1, tokens = 0, pid = -1, records = 0, event_len = 0, id = -1;
+        int header = 1;
+        for (;;) {
+            while (p < eol && perf_space(*p)) p++;
+            if (p == eol) break;
+            const uint8_t *s = p;
+            while (p < eol && !perf_space(*p)) p++;
+            if (tokens == 0 && *s == '#') {
+                kind = perf_ascii(s, eol) ? 0 : 2;
+                break;
+            }
+            tokens++;
+            if (header) {
+                const int entry_like = p - s >= 3 && s[0] == '0' && (s[1] | 0x20) == 'x'
+                    && perf_hex(s[2]) >= 0 && memchr(s, '/', (size_t)(p - s));
+                if (!entry_like) {
+                    if ((p - s == 2 && s[0] == '=' && s[1] == '>') || !perf_ascii(s, p)) {
+                        kind = 2;
+                        break;
+                    }
+                    const int64_t token_pid = pid < 0 && tokens > 1 ? perf_pid(s, p) : -1;
+                    if (token_pid == -2) {
+                        kind = 2;
+                        break;
+                    }
+                    if (token_pid >= 0) {
+                        pid = token_pid;
+                    } else if (p - s > 1 && p[-1] == ':' && !perf_timestamp(s, p)) {
+                        event = s;
+                        event_len = p - s - 1;
+                    }
+                    continue;
+                }
+                header = 0;
+            }
+            if (nr + records == record_cap
+                || !perf_entry(s, p, cond_only, pcs + nr + records, taken + nr + records)) {
+                kind = 2;
+                break;
+            }
+            records++;
+        }
+        if (kind == 1 && header) kind = tokens ? 2 : 0;
+        if (kind == 1 && event) {
+            for (id = 0; id < ne; id++)
+                if (events[2 * id + 1] == event_len
+                    && memcmp(buf + events[2 * id], event, (size_t)event_len) == 0)
+                    break;
+            if (id == ne) {
+                if (ne == event_cap) {
+                    kind = 2;
+                } else {
+                    events[2 * ne] = event - buf;
+                    events[2 * ne + 1] = event_len;
+                    ne++;
+                }
+            }
+        }
+        int64_t *row = lines + 5 * nl++;
+        row[0] = kind;
+        row[1] = eol - buf;
+        row[2] = kind == 1 ? id : -1;
+        row[3] = kind == 1 ? pid : -1;
+        row[4] = kind == 1 ? records : 0;
+        if (kind == 1) nr += records;
+        if (eol == end) break;
+        line = eol + 1;
+    }
+    totals[0] = nl;
+    totals[1] = nr;
+    totals[2] = ne;
+}
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
@@ -356,6 +556,21 @@ DHLF_REGS = 6
 #: PHT index bits, xor indexing (0/1), PHT offset, BHT offset, BHT mask,
 #: counter bits.
 SWEEP_PARAMS = 8
+
+#: Kinds of line :func:`perf_scan` reports: skipped (blank or a comment,
+#: not counted), scanned (its records decoded in C) and handed back (to
+#: the per-line parser).
+PERF_SKIPPED, PERF_SCANNED, PERF_HANDED_BACK = 0, 1, 2
+
+#: Columns of :func:`perf_scan`'s line table: the line's kind, the
+#: offset of its end in the block, its event (a row of the event table,
+#: -1 for none), its pid (-1 for none) and its record count.
+PERF_KIND, PERF_END, PERF_EVENT, PERF_PID, PERF_RECORDS = range(5)
+PERF_COLUMNS = 5
+
+#: Distinct event tokens ``perf_scan`` numbers in one block; a scanned
+#: line whose token would be one more is handed back.
+PERF_EVENTS = 64
 
 # Per-process memo of the build/load outcome; workers each load their
 # own handle to the shared content-addressed .so.
@@ -527,6 +742,91 @@ def _wrap(name, func, argtypes):
     return call
 
 
+def _check_scan_arrays(buf, lines, pcs, taken, events, totals) -> None:
+    """Raise :class:`ConfigurationError` unless the arrays can be handed
+    to ``perf_scan``: each of its dtype, shape and C-contiguous, every
+    one C writes writeable, and no two overlapping (C reads the event
+    offsets it wrote back, so no other write may change one)."""
+    shapes = (
+        ("buf", buf, np.uint8, 1, None),
+        ("lines", lines, np.int64, 2, PERF_COLUMNS),
+        ("pcs", pcs, np.int64, 1, None),
+        ("taken", taken, np.uint8, 1, None),
+        ("events", events, np.int64, 2, 2),
+        ("totals", totals, np.int64, 1, None),
+    )
+    for name, array, dtype, ndim, columns in shapes:
+        if (
+            not isinstance(array, np.ndarray)
+            or array.dtype != dtype
+            or array.ndim != ndim
+            or (columns is not None and array.shape[1] != columns)
+            or not array.flags.c_contiguous
+            or (name != "buf" and not array.flags.writeable)
+        ):
+            shape = f"{ndim}-d" if columns is None else f"(n, {columns})"
+            raise ConfigurationError(
+                f"perf_scan: {name} must be a C-contiguous{'' if name == 'buf' else ', writeable'}"
+                f" {shape} {np.dtype(dtype)} array"
+            )
+    if len(taken) != len(pcs) or len(totals) != 3:
+        raise ConfigurationError("perf_scan: taken must match pcs, and totals hold 3 counts")
+    arrays = (buf, lines, pcs, taken, events, totals)
+    for i, written in enumerate(arrays[1:], 1):
+        if any(np.may_share_memory(written, other) for other in arrays[:i]):
+            raise ConfigurationError("perf_scan: the arrays must not overlap")
+
+
+def _wrap_perf_scan(func):
+    """The checked ``perf_scan`` call: ``(buf, cond_only, lines, pcs,
+    taken, events, totals)``; C writes no array past its length."""
+    size = ctypes.c_int64
+    func.restype = None
+    func.argtypes = (_U8, size, size, _I64, size, _I64, _U8, size, _I64, size, _I64)
+
+    def call(buf, cond_only, lines, pcs, taken, events, totals):
+        _check_scan_arrays(buf, lines, pcs, taken, events, totals)
+        func(
+            buf.ctypes.data_as(_U8),
+            len(buf),
+            int(bool(cond_only)),
+            lines.ctypes.data_as(_I64),
+            len(lines),
+            pcs.ctypes.data_as(_I64),
+            taken.ctypes.data_as(_U8),
+            len(pcs),
+            events.ctypes.data_as(_I64),
+            len(events),
+            totals.ctypes.data_as(_I64),
+        )
+
+    return call
+
+
+def perf_scan(block: bytes, cond_only: bool):
+    """Scan one block of ``perf script`` lines (split at ``\\n``) in C.
+
+    Returns ``(lines, pcs, taken, events)``: one :data:`PERF_COLUMNS`
+    row per line, the records of the scanned lines in line order, and
+    the ``(offset, length)`` of each distinct event token.  Every output
+    is sized from the block: a block holds ``count(b"\\n") + 1`` lines,
+    and at most ``count(b"/") // 2`` records, since every entry holds at
+    least two slashes.  Raises :class:`RuntimeError` when the backend is
+    unavailable (:func:`load`).
+    """
+    if not isinstance(block, bytes):
+        raise ConfigurationError(f"perf_scan: expected bytes, got {type(block).__name__}")
+    lines = np.empty((block.count(b"\n") + 1, PERF_COLUMNS), dtype=np.int64)
+    pcs = np.empty(block.count(b"/") // 2, dtype=np.int64)
+    taken = np.empty(len(pcs), dtype=np.uint8)
+    events = np.empty((PERF_EVENTS, 2), dtype=np.int64)
+    totals = np.zeros(3, dtype=np.int64)
+    buf = np.frombuffer(block, dtype=np.uint8)
+    load()["perf_scan"](buf, cond_only, lines, pcs, taken, events, totals)
+    _, records, distinct = totals.tolist()
+    return lines, pcs[:records], taken[:records], events[:distinct]
+
+
 def _smoke(table: dict[str, object]) -> None:
     """Raise unless the loaded ``sweep_step`` gets a known answer: a
     gshare (2 history bits xor 3 PHT bits, 2-bit counters) over four
@@ -564,6 +864,7 @@ def load() -> dict[str, object]:
             name: _wrap(name, getattr(library, name), argtypes)
             for name, argtypes in _SIGNATURES.items()
         }
+        table["perf_scan"] = _wrap_perf_scan(library.perf_scan)
         _smoke(table)
     except Exception as exc:  # noqa: BLE001 - availability probe must not raise types
         _cache["error"] = f"cext backend unavailable: {exc}"

@@ -11,11 +11,28 @@ from __future__ import annotations
 import numpy as np
 
 from ..predictors.base import BranchPredictor
+from ..predictors.hybrid import ClassRoutedHybrid
 from ..predictors.static import OraclePredictor
+from ..predictors.tournament import TournamentPredictor
 from ..trace.stream import Trace
 from .results import SimulationResult
 
 __all__ = ["simulate_reference"]
+
+
+def oracles_in(predictor: BranchPredictor) -> list[OraclePredictor]:
+    """Every :class:`OraclePredictor` the engine must prime: the
+    predictor itself, or a component of a tournament or class-routed
+    hybrid, at any depth."""
+    if isinstance(predictor, OraclePredictor):
+        return [predictor]
+    if isinstance(predictor, TournamentPredictor):
+        parts = [predictor.first, predictor.second]
+    elif isinstance(predictor, ClassRoutedHybrid):
+        parts = predictor.components
+    else:
+        return []
+    return [oracle for part in parts for oracle in oracles_in(part)]
 
 
 def simulate_reference(
@@ -29,8 +46,9 @@ def simulate_reference(
     Parameters
     ----------
     predictor:
-        Any branch predictor.  :class:`OraclePredictor` is recognised
-        and primed with each outcome before prediction.
+        Any branch predictor.  An :class:`OraclePredictor`, or one held
+        by a tournament or class-routed hybrid, is primed with each
+        outcome before prediction (:func:`oracles_in`).
     trace:
         The branch stream to simulate, in program order.
     reset:
@@ -47,15 +65,15 @@ def simulate_reference(
 
     pcs = trace.pcs
     outcomes = trace.outcomes
-    is_oracle = isinstance(predictor, OraclePredictor)
+    primes = [oracle.prime for oracle in oracles_in(predictor)]
     predict = predictor.predict
     update = predictor.update
 
     for i in range(len(pcs)):
         pc = int(pcs[i])
         taken = bool(outcomes[i])
-        if is_oracle:
-            predictor.prime(taken)
+        for prime in primes:
+            prime(taken)
         if predict(pc) != taken:
             miss_counts[codes[i]] += 1
         update(pc, taken)

@@ -50,7 +50,6 @@ from ..predictors.hybrid import ClassRoutedHybrid
 from ..predictors.static import (
     AlwaysNotTakenPredictor,
     AlwaysTakenPredictor,
-    OraclePredictor,
     ProfileStaticPredictor,
 )
 from ..predictors.tournament import TournamentPredictor
@@ -66,6 +65,7 @@ from .batched import (
     _slot_groups,
     supports_batched,
 )
+from .reference import oracles_in
 from .results import SimulationResult, _attribute_chunks, count_misses
 from .scan import counter_step_table, segmented_automaton_scan, stable_key_order
 
@@ -284,10 +284,10 @@ class _ReferenceStream:
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         predictor = self.predictor
         predict, update = predictor.predict, predictor.update
-        prime = predictor.prime if isinstance(predictor, OraclePredictor) else None
+        primes = [oracle.prime for oracle in oracles_in(predictor)]
         predictions = []
         for pc, taken in zip(pcs.tolist(), outcomes.astype(bool).tolist()):
-            if prime is not None:
+            for prime in primes:
                 prime(taken)
             predictions.append(predict(pc))
             update(pc, taken)

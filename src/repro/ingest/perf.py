@@ -18,8 +18,8 @@ A plain branch-event fallback is also accepted for tools that print
 ``0``/``-`` records a not-taken execution of ``FROM``).
 
 The parser is a *line streamer*: the source file is read in fixed-size
-blocks (never slurped), records accumulate into bounded chunk buffers,
-and each full chunk is handed to the caller as a
+blocks of whole lines (never slurped), records accumulate into bounded
+chunk buffers, and each full chunk is handed to the caller as a
 :class:`~repro.trace.stream.Trace` — so piping the iterator through
 :func:`repro.trace.io.write_chunks` converts a multi-GB ``perf script``
 dump to chunked RBT v2 in O(chunk) memory.  Garbled lines and malformed
@@ -28,6 +28,13 @@ entries are *counted and skipped*, never fatal; the
 carries the sha256 of the source bytes (the same fingerprint
 :class:`~repro.workload_spec.PerfLbrSpec` keys on), accumulated during
 the very same pass.  See ``docs/INGEST.md`` for the capture recipe.
+
+:meth:`PerfParser._parse_line` is the one definition of how a line
+parses.  On the ``cext`` backend a C scanner
+(:func:`repro.engine.compiled.cext.perf_scan`) decodes the lines made
+of a header and well-formed brstack entries only, and hands every
+other line back to it, in its place; the chunks and the report are the
+same on both backends.
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ _ADDR_RE = re.compile(r"^(?:0x)?[0-9a-fA-F]+$")
 #: executed but did not go anywhere we can see — a not-taken record.
 _NULL_TARGETS = frozenset({"-", "0", "0x0"})
 
+#: The largest branch pc a trace holds (pcs are int64).  A FROM address
+#: above it (a kernel-space address, in a ``branches:uk`` capture) is a
+#: counted ``pc-out-of-range`` skip.
+_PC_MAX = (1 << 63) - 1
+
 
 @dataclass
 class IngestReport:
@@ -113,8 +125,8 @@ class IngestReport:
     #: skip reason -> count, for the CLI's skip report.
     reasons: dict[str, int] = field(default_factory=dict)
 
-    def _count(self, reason: str) -> None:
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+    def _count(self, reason: str, times: int = 1) -> None:
+        self.reasons[reason] = self.reasons.get(reason, 0) + times
 
     def summary(self) -> str:
         """One-paragraph human-readable ingest summary."""
@@ -313,6 +325,10 @@ class PerfParser:
                         report._count("non-conditional")
                         return 0
         pc = int(match.group("from"), 16)
+        if pc > _PC_MAX:
+            report.skipped_entries += 1
+            report._count("pc-out-of-range")
+            return 0
         flags = match.group("flags")
         taken = 0 if "N" in flags.upper() else 1
         out_pcs.append(pc)
@@ -339,15 +355,21 @@ class PerfParser:
             report.skipped_entries += 1
             report._count("malformed-entry")
             return 0
-        out_pcs.append(int(source, 16))
+        pc = int(source, 16)
+        if pc > _PC_MAX:
+            report.skipped_entries += 1
+            report._count("pc-out-of-range")
+            return 0
+        out_pcs.append(pc)
         out_taken.append(0 if target.lower() in _NULL_TARGETS else 1)
         report.records += 1
         return 1
 
     # -- streaming pass -----------------------------------------------------
 
-    def _lines(self, fp: BinaryIO, digest: "hashlib._Hash") -> Iterator[str]:
-        """Stream decoded lines while fingerprinting the raw bytes.
+    def _blocks(self, fp: BinaryIO, digest: "hashlib._Hash") -> Iterator[bytes]:
+        """Stream the file as blocks of whole lines, each without its last
+        newline, while fingerprinting the raw bytes.
 
         The final line is yielded even without a trailing newline, so a
         dump truncated mid-record still parses (its broken tail is
@@ -360,40 +382,127 @@ class PerfParser:
                 break
             digest.update(block)
             tail += block
-            if b"\n" in tail:
-                complete, tail = tail.rsplit(b"\n", 1)
-                for raw in complete.split(b"\n"):
-                    yield raw.decode("utf-8", errors="replace")
+            cut = tail.rfind(b"\n")
+            if cut >= 0:
+                yield tail[:cut]
+                tail = tail[cut + 1 :]
         if tail:
-            yield tail.decode("utf-8", errors="replace")
+            yield tail
 
-    def chunks(self, chunk_len: int = DEFAULT_CHUNK_LEN) -> Iterator[Trace]:
-        """One full parsing pass, yielding bounded-size trace chunks."""
-        if chunk_len < 1:
-            raise TraceError(f"chunk_len must be positive, got {chunk_len}")
-        report = IngestReport(path=self.path)
-        digest = hashlib.sha256()
+    def _parse_lines(self, block: bytes, report: IngestReport) -> tuple[np.ndarray, np.ndarray]:
+        """The records of ``block``, every line through :meth:`_parse_line`."""
         pcs: list[int] = []
         taken: list[int] = []
+        for raw in block.split(b"\n"):
+            self._parse_line(raw.decode("utf-8", errors="replace"), report, pcs, taken)
+        return np.array(pcs, dtype=np.int64), np.array(taken, dtype=np.uint8)
+
+    def _scan_lines(self, block: bytes, report: IngestReport) -> tuple[np.ndarray, np.ndarray]:
+        """The records of ``block``, through the C scanner
+        (:func:`~repro.engine.compiled.cext.perf_scan`).
+
+        The scanner decodes each line made of a header and well-formed
+        brstack entries only; the filters apply here, ``--event`` once
+        per distinct event token.  Every line it hands back goes through
+        :meth:`_parse_line`, and its records land in its place.
+        """
+        from ..engine.compiled import cext
+
+        lines, pcs, taken, events = cext.perf_scan(block, self.cond_only)
+        kinds = lines[:, cext.PERF_KIND]
+        scanned = kinds == cext.PERF_SCANNED
+        report.lines += int(np.count_nonzero(scanned))
+        keep = scanned
+        if self.event is not None:
+            tokens = [block[at : at + size].decode() for at, size in events.tolist()]
+            # The last entry answers for lines without an event token (-1).
+            matches = [_event_matches(token, self.event) for token in tokens] + [False]
+            keep = _narrow(keep, np.array(matches)[lines[:, cext.PERF_EVENT]], report, "event")
+        if self.pid is not None:
+            pids = lines[:, cext.PERF_PID]
+            keep = _narrow(keep, (pids >= 0) & (pids == self.pid), report, "pid")
+        counts = np.where(keep, lines[:, cext.PERF_RECORDS], 0)
+        report.matched_lines += int(np.count_nonzero(keep))
+        report.records += int(counts.sum())
+        if keep is not scanned:
+            mask = np.repeat(keep[scanned], lines[scanned, cext.PERF_RECORDS])
+            pcs, taken = pcs[mask], taken[mask]
+        handed_back = np.flatnonzero(kinds == cext.PERF_HANDED_BACK)
+        if len(handed_back):
+            ends = lines[:, cext.PERF_END]
+            kept = np.cumsum(counts)
+            extra_pcs: list[int] = []
+            extra_taken: list[int] = []
+            where: list[int] = []
+            for index in handed_back.tolist():
+                start = int(ends[index - 1]) + 1 if index else 0
+                line = block[start : int(ends[index])].decode("utf-8", errors="replace")
+                produced = len(extra_pcs)
+                self._parse_line(line, report, extra_pcs, extra_taken)
+                # The line keeps no scanned records, so kept[index] counts
+                # the records of the lines before it.
+                where += [int(kept[index])] * (len(extra_pcs) - produced)
+            if where:
+                pcs = np.insert(pcs, where, extra_pcs)
+                taken = np.insert(taken, where, extra_taken)
+        return pcs, taken
+
+    def chunks(self, chunk_len: int = DEFAULT_CHUNK_LEN) -> Iterator[Trace]:
+        """One full parsing pass, yielding bounded-size trace chunks.
+
+        The file is read in blocks of whole lines.  When the engine
+        backend (:func:`~repro.engine.backend.resolve_backend`) is
+        ``cext``, each block goes through the C scanner
+        (:meth:`_scan_lines`); on ``python`` every line goes through
+        :meth:`_parse_line`.  Both give the same chunks and report.
+        """
+        if chunk_len < 1:
+            raise TraceError(f"chunk_len must be positive, got {chunk_len}")
+        # Imported per pass: this module imports no engine code itself.
+        from ..engine.backend import resolve_backend
+
+        parse = self._scan_lines if resolve_backend() == "cext" else self._parse_lines
+        report = IngestReport(path=self.path)
+        digest = hashlib.sha256()
         try:
             fp = open(self.path, "rb")
         except OSError as exc:
             raise TraceError(f"cannot read perf trace {self.path!r}: {exc}") from None
         with fp:
-            for line in self._lines(fp, digest):
-                self._parse_line(line, report, pcs, taken)
-                while len(pcs) >= chunk_len:
-                    yield Trace(
-                        np.asarray(pcs[:chunk_len], dtype=np.int64),
-                        np.asarray(taken[:chunk_len], dtype=np.uint8),
-                    )
-                    del pcs[:chunk_len], taken[:chunk_len]
-        if pcs:
-            yield Trace(
-                np.asarray(pcs, dtype=np.int64), np.asarray(taken, dtype=np.uint8)
-            )
+            parts = (parse(block, report) for block in self._blocks(fp, digest))
+            yield from _rechunk(parts, chunk_len)
         report.sha256 = digest.hexdigest()
         self.report = report
+
+
+def _narrow(keep: np.ndarray, matches: np.ndarray, report: IngestReport, name: str) -> np.ndarray:
+    """``keep`` narrowed to ``matches``; each line it loses is counted
+    as filtered by the ``name`` filter (``--event`` or ``--pid``)."""
+    dropped = int(np.count_nonzero(keep & ~matches))
+    if dropped:
+        report.filtered_lines += dropped
+        report._count(f"{name}-filtered", dropped)
+    return keep & matches
+
+
+def _rechunk(parts: Iterator[tuple[np.ndarray, np.ndarray]], chunk_len: int) -> Iterator[Trace]:
+    """Traces of exactly ``chunk_len`` records (the last may be shorter)
+    cut from a stream of ``(pcs, taken)`` parts."""
+    held: list[tuple[np.ndarray, np.ndarray]] = []
+    count = 0
+    for part in parts:
+        held.append(part)
+        count += len(part[0])
+        if count < chunk_len:
+            continue
+        pcs = np.concatenate([p for p, _ in held])
+        taken = np.concatenate([t for _, t in held])
+        full = count - count % chunk_len
+        for start in range(0, full, chunk_len):
+            yield Trace(pcs[start : start + chunk_len], taken[start : start + chunk_len])
+        held, count = [(pcs[full:], taken[full:])], count - full
+    if count:
+        yield Trace(np.concatenate([p for p, _ in held]), np.concatenate([t for _, t in held]))
 
 
 def parse_perf_trace(

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from .engine import simulate, simulate_batched, simulate_batched_stream, simulate_stream
 from .engine.backend import BACKENDS
 from .engine.results import SimulationResult
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TraceError
 from .spec import BimodalSpec, PredictorSpec, TwoLevelSpec
 from .trace.stream import Trace
 from .workload_spec import WorkloadSpec, trace_fingerprint
@@ -92,25 +92,38 @@ class StreamedTrace:
     Stands in for the materialized :class:`~repro.trace.stream.Trace`
     in the session's workload slots when a
     :class:`~repro.workload_spec.WorkloadSpec` reports a stream source
-    (a large binary trace file): only the spec and one open
-    :class:`~repro.trace.io.TraceReader` are held — never the trace
-    columns — and every engine pass re-iterates the reader's chunks.
-    Quacks like a trace where the planner needs it (``name``, length).
+    (a large binary trace file): only the spec and its record count are
+    held — never the trace columns.  A run opens the spec's stream
+    source on its first pass, every engine pass re-iterates that
+    reader's chunks, and the session closes it when the run ends
+    (:meth:`close`).  Quacks like a trace where the planner needs it
+    (``name``, length).
     """
 
-    __slots__ = ("spec", "reader", "name")
+    __slots__ = ("spec", "name", "_records", "_reader")
 
-    def __init__(self, spec: WorkloadSpec, reader) -> None:
+    def __init__(self, spec: WorkloadSpec, records: int) -> None:
         self.spec = spec
-        self.reader = reader
         self.name = spec.label
+        self._records = records
+        self._reader = None
 
     def __len__(self) -> int:
-        return len(self.reader)
+        return self._records
 
     def chunks(self):
         """A fresh iterator over the workload's chunks."""
-        return iter(self.reader)
+        if self._reader is None:
+            self._reader = self.spec.stream_source()
+            if self._reader is None:
+                raise TraceError(f"workload {self.name!r} no longer streams from its file")
+        return iter(self._reader)
+
+    def close(self) -> None:
+        """Close the reader, if one is open."""
+        reader, self._reader = self._reader, None
+        if reader is not None:
+            reader.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamedTrace(name={self.name!r}, records={len(self)})"
@@ -296,10 +309,11 @@ class Session:
             if slot is None:
                 source = workload.stream_source()
                 if source is not None:
-                    # Out-of-core workload: hold the spec and an open
-                    # reader, never the trace columns.
-                    slot = len(self._traces)
-                    self._traces.append(StreamedTrace(workload, source))
+                    # Out-of-core workload: hold the spec and its record
+                    # count, never the trace columns; a run reopens it.
+                    with source:
+                        slot = len(self._traces)
+                        self._traces.append(StreamedTrace(workload, len(source)))
                     self._trace_slots[key] = slot
                 else:
                     trace = workload.materialize()
@@ -387,13 +401,26 @@ class Session:
         Duplicate jobs share one simulation; work already in the
         session memo is not recomputed.  After the call the pending
         queue is empty, but the memo persists, so resubmitting any
-        job is free.
+        job is free.  A streamed workload's file is open only while the
+        call runs, and is closed when it returns or raises.
         """
-        for batch in self.plan().batches:
-            slot = batch.entries[0].jobs[0].slot
-            specs = [e.spec for e in batch.entries if (slot, e.spec) not in self._memo]
-            if not specs:
-                continue
+        try:
+            for batch in self.plan().batches:
+                self._run_batch(batch)
+        finally:
+            for trace in self._traces:
+                if isinstance(trace, StreamedTrace):
+                    trace.close()
+        jobs = self._pending
+        self._pending = []
+        results = {job: self._memo[(job.slot, job.spec)] for job in jobs}
+        return SessionResults(jobs, results)
+
+    def _run_batch(self, batch: PlannedBatch) -> None:
+        """Simulate the batch's entries missing from the memo."""
+        slot = batch.entries[0].jobs[0].slot
+        specs = [e.spec for e in batch.entries if (slot, e.spec) not in self._memo]
+        if specs:
             trace = batch.trace
             streamed = isinstance(trace, StreamedTrace)
             if batch.engine == "batched":
@@ -424,11 +451,6 @@ class Session:
                 ]
             for spec, result in zip(specs, results):
                 self._memo[(slot, spec)] = result
-
-        jobs = self._pending
-        self._pending = []
-        results = {job: self._memo[(job.slot, job.spec)] for job in jobs}
-        return SessionResults(jobs, results)
 
     def simulate(self, workload: Trace | WorkloadSpec, spec: PredictorSpec) -> SimulationResult:
         """One-shot convenience: submit one job, run, return its result.

@@ -16,7 +16,10 @@ from repro.engine.results import _attribute_chunks, count_misses
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors import (
     AlwaysTakenPredictor,
+    BimodalPredictor,
+    ClassRoutedHybrid,
     OraclePredictor,
+    TournamentPredictor,
     make_gas,
 )
 from repro.spec import YagsSpec
@@ -148,6 +151,26 @@ class TestSimulateDispatch:
     def test_unknown_engine(self):
         with pytest.raises(ConfigurationError):
             simulate(AlwaysTakenPredictor(), Trace.empty(), engine="quantum")
+
+    @pytest.mark.parametrize("holder", ["tournament", "hybrid", "nested"])
+    def test_component_oracles_primed_on_every_engine(self, holder):
+        def build():
+            oracle = OraclePredictor()
+            if holder == "tournament":
+                return TournamentPredictor(BimodalPredictor(entries=64), oracle)
+            if holder == "hybrid":
+                return ClassRoutedHybrid([BimodalPredictor(entries=64), oracle], lambda pc: pc % 2)
+            inner = TournamentPredictor(oracle, BimodalPredictor(entries=16))
+            return ClassRoutedHybrid([inner, BimodalPredictor(entries=64)], lambda pc: pc % 2)
+
+        rng = np.random.default_rng(5)
+        trace = Trace(rng.integers(0, 16, size=40), rng.integers(0, 2, size=40, dtype=np.uint8))
+        auto = simulate(build(), trace)
+        reference = simulate(build(), trace, engine="reference")
+        streamed = simulate_stream(build(), [trace[:13], trace[13:]], engine="reference")
+        for result in (reference, streamed):
+            assert np.array_equal(result.pcs, auto.pcs)
+            assert np.array_equal(result.mispredictions, auto.mispredictions)
 
 
 class TestAttributeChunks:

@@ -30,7 +30,7 @@ from repro.engine.streaming import (
     _StaticStream,
     _TournamentStream,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceError
 from repro.predictors.paper_configs import HISTORY_LENGTHS, paper_spec
 from repro.session import Session, StreamedTrace
 from repro.spec import (
@@ -317,6 +317,74 @@ class TestSessionStreaming:
         assert session.plan().num_to_run == 0
         second = session.simulate(streamed_file_spec, spec)
         assert first is second
+
+
+class TestSessionClosesReaders:
+    """No trace file stays open once ``Session.run`` returns or raises."""
+
+    @staticmethod
+    def opened_readers(monkeypatch):
+        readers = []
+        open_source = TraceFileSpec.stream_source
+
+        def spy(spec):
+            reader = open_source(spec)
+            readers.append(reader)
+            return reader
+
+        monkeypatch.setattr(TraceFileSpec, "stream_source", spy)
+        return readers
+
+    def test_run_closes_and_a_second_run_reopens(self, streamed_file_spec, monkeypatch):
+        readers = self.opened_readers(monkeypatch)
+        session = Session()
+        label = streamed_file_spec.label
+        session.submit(streamed_file_spec, paper_spec("pas", 4))
+        assert readers and all(reader._fp.closed for reader in readers)
+        first = session.run().of(0)
+        opened = len(readers)
+        assert all(reader._fp.closed for reader in readers)
+        # Same workload, a spec the memo lacks: the slot opens its file again.
+        second = session.simulate(streamed_file_spec, TournamentSpec())
+        assert len(readers) > opened and all(reader._fp.closed for reader in readers)
+        for result, spec in ((first, paper_spec("pas", 4)), (second, TournamentSpec())):
+            base = simulate(spec, TRACE.with_name(label))
+            assert np.array_equal(result.mispredictions, base.mispredictions)
+
+    def test_run_that_raises_closes(self, streamed_file_spec, monkeypatch):
+        from repro import session as session_module
+
+        readers = self.opened_readers(monkeypatch)
+
+        def fail(predictors, chunks, **kwargs):
+            next(iter(chunks))
+            raise RuntimeError("engine failed")
+
+        monkeypatch.setattr(session_module, "simulate_batched_stream", fail)
+        session = Session()
+        session.submit(streamed_file_spec, paper_spec("gas", 4))
+        with pytest.raises(RuntimeError, match="engine failed"):
+            session.run()
+        assert len(readers) == 2 and all(reader._fp.closed for reader in readers)
+
+    def test_file_that_stops_streaming_fails_the_run(self, streamed_file_spec, monkeypatch):
+        session = Session()
+        session.submit(streamed_file_spec, paper_spec("gas", 4))
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", str(1 << 40))
+        with pytest.raises(TraceError, match="no longer streams"):
+            session.run()
+
+    def test_no_resource_warning(self, streamed_file_spec):
+        import gc
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            session = Session()
+            session.simulate(streamed_file_spec, paper_spec("pas", 4))
+            del session
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSweepWorkloadStreaming:

@@ -8,14 +8,21 @@ across repeated runs, fresh processes, and --chunk-len settings.
 """
 
 import hashlib
+import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from repro.errors import TraceError
+from repro.cli import main
+from repro.engine.backend import backend_availability
+from repro.engine.compiled import cext
+from repro.errors import ConfigurationError, TraceError
 from repro.ingest import PerfParser, ingest_perf, parse_perf_trace
 from repro.trace.io import TraceReader
 from repro.trace.stream import concat
@@ -27,6 +34,12 @@ INTERLEAVED = FIXTURES / "interleaved.txt"
 TRUNCATED = FIXTURES / "truncated.txt"
 GARBAGE = FIXTURES / "garbage.txt"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+CEXT_USABLE = backend_availability()["cext"][0]
+
+#: The ingest routes this host can run: the per-line parser, and the C
+#: scanner where a compiler is found.
+ROUTES = ["python"] + (["cext"] if CEXT_USABLE else [])
 
 #: One brstack entry, as the fixtures print them.
 ENTRY_RE = re.compile(r"0x([0-9a-f]+)/0x[0-9a-f]+/([A-Z]+)/")
@@ -277,3 +290,279 @@ class TestPerfLbrSpec:
         spec = PerfLbrSpec(path=str(CLEAN), pid=999999)
         with pytest.raises(TraceError, match="no branch records"):
             spec.materialize()
+
+
+def records(trace):
+    return list(zip(trace.pcs.tolist(), trace.outcomes.tolist()))
+
+
+@pytest.fixture(params=ROUTES)
+def route(request, monkeypatch):
+    """Run the test on each ingest route this host has."""
+    monkeypatch.setenv("REPRO_ENGINE_BACKEND", request.param)
+    return request.param
+
+
+class TestKernelAddresses:
+    """A FROM address past int64 is a counted skip, not a crash."""
+
+    MIXED = (
+        "prog 4242 [000] 1.0: 1 branches:uk: 0x401000/0x401040/P/-/-/0 "
+        "0xffffffff81000000/0xffffffff81000010/P/-/-/0 0x401008/0x401010/PN/-/-/0\n"
+        "prog 4242 [000] 1.1: 1 branches:uk: 0xffffffff81000020/0x401000/M/-/-/0\n"
+        "prog 4242 [000] 1.2: 1 branches:uk: ffffffff81000000 => 401000\n"
+    )
+
+    def test_user_entries_kept_kernel_entries_skipped(self, tmp_path, route):
+        src = tmp_path / "uk.txt"
+        src.write_text(self.MIXED)
+        trace, report = parse_perf_trace(src)
+        assert records(trace) == [(0x401000, 1), (0x401008, 0)]
+        assert report.skipped_entries == 3
+        assert report.reasons == {"pc-out-of-range": 3, "empty-after-entry-skips": 2}
+        assert (report.lines, report.matched_lines, report.skipped_lines) == (3, 1, 2)
+
+    def test_cli_exits_zero_and_reports_the_skip(self, tmp_path, route, capsys):
+        src = tmp_path / "uk.txt"
+        src.write_text(self.MIXED)
+        assert main(["ingest", "perf", str(src), "-o", str(tmp_path / "uk.rbt"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["records"] == 2
+        assert payload["reasons"]["pc-out-of-range"] == 3
+
+
+class TestBrstackTargets:
+    """Only FLAGS decide a brstack entry's outcome; its TO is never read
+    as a target.  Only the ``FROM => TO`` form has null targets."""
+
+    def test_brstack_to_is_not_an_outcome(self, tmp_path, route):
+        src = tmp_path / "to.txt"
+        src.write_text(
+            "p 1 [0] 1.0: 1 branches: 0x401000/-/P/-/-/0 0x401004/0x0/P/-/-/0\n"
+            "p 1 [0] 1.1: 1 branches: 0x401008/0/P/-/-/0 0x40100c/0x401010/PN/-/-/0\n"
+        )
+        trace, report = parse_perf_trace(src)
+        assert records(trace) == [(0x401000, 1), (0x401004, 1), (0x40100C, 0)]
+        assert report.reasons == {"malformed-entry": 1}
+
+    def test_arrow_null_targets_are_not_taken(self, tmp_path, route):
+        src = tmp_path / "arrow.txt"
+        src.write_text("401000 => -\n401004 => 0\n401008 => 0x0\n40100c => 0x401000\n")
+        trace, _ = parse_perf_trace(src)
+        assert records(trace) == [(0x401000, 0), (0x401004, 0), (0x401008, 0), (0x40100C, 1)]
+
+
+def scan(text: bytes, cond_only: bool = False):
+    lines, pcs, taken, events = cext.perf_scan(text, cond_only)
+    return lines, list(zip(pcs.tolist(), taken.tolist())), events
+
+
+@pytest.mark.skipif(not CEXT_USABLE, reason="no C compiler on this host")
+class TestScanner:
+    """``perf_scan`` decodes only the lines it can classify exactly as
+    ``_parse_line`` does; every other line is handed back."""
+
+    HEAD = b"prog 42/43 [000] 1.5: 250000 branches:u: "
+
+    @pytest.mark.parametrize(
+        "line, kind",
+        [
+            (b"", cext.PERF_SKIPPED),
+            (b" \t\x0b\x0c\r\x1c\x1f", cext.PERF_SKIPPED),
+            (b"  # comment 0x1/0x2/P", cext.PERF_SKIPPED),
+            (b"# comment \xff", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0x401040/P/-/-/0", cext.PERF_SCANNED),
+            (HEAD + b"0x401000/-/MN", cext.PERF_SCANNED),
+            (b"0x401000/0x401040/P/-/-/0", cext.PERF_SCANNED),
+            (HEAD.rstrip(), cext.PERF_HANDED_BACK),  # header only
+            (HEAD + b"401000 => 401040", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0x401040/P => 0x1", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0x401040/P junk", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0x401040/P?", cext.PERF_HANDED_BACK),
+            (HEAD + b"0X401000/0x401040/P", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0X401040/P", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0/P", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x401000/0x401040/", cext.PERF_HANDED_BACK),
+            (HEAD + b"0x00000000000401000/0x1/P", cext.PERF_HANDED_BACK),  # 17 digits
+            (HEAD + b"0x8000000000000000/0x1/P", cext.PERF_HANDED_BACK),  # 2**63
+            (HEAD + b"0x7fffffffffffffff/0x1/P", cext.PERF_SCANNED),
+            (HEAD + b"0x401000/0x401040/P/\xc3\xa9", cext.PERF_HANDED_BACK),
+            (b"pr\xc3\xb6g 42 1.5: 0x401000/0x401040/P", cext.PERF_HANDED_BACK),
+            (b"prog 123456789012345678901 0x401000/0x401040/P", cext.PERF_HANDED_BACK),
+        ],
+    )
+    def test_line_kind(self, line, kind):
+        lines, _, _ = scan(line)
+        assert lines[:, cext.PERF_KIND].tolist() == [kind]
+
+    def test_header_fields(self):
+        text = b"\n".join(
+            [
+                self.HEAD + b"0x10/0x20/P 0x14/-/PN",
+                b"7 8 9/9 100: cpu/branches/: 1.25: 0x18/0x28/Mn",
+                b"cycles: 0x1c/0x2c/P",
+                self.HEAD + b"0x20/0x30/P",
+            ]
+        )
+        lines, got, events = scan(text)
+        assert got == [(0x10, 1), (0x14, 0), (0x18, 0), (0x1C, 1), (0x20, 1)]
+        tokens = [text[at : at + size] for at, size in events.tolist()]
+        assert tokens == [b"branches:u", b"cpu/branches/", b"cycles"]
+        # Token 0 is the comm even when numeric; the first pid wins.
+        assert lines[:, cext.PERF_PID].tolist() == [42, 8, -1, 42]
+        assert lines[:, cext.PERF_EVENT].tolist() == [0, 1, 2, 0]
+        assert lines[:, cext.PERF_RECORDS].tolist() == [2, 1, 1, 1]
+        ends = [i for i, byte in enumerate(text) if byte == ord("\n")] + [len(text)]
+        assert lines[:, cext.PERF_END].tolist() == ends
+
+    def test_cond_only_hands_back_typed_entries(self):
+        # Six slashes reach the TYPE field; five cannot.
+        typed = self.HEAD + b"0x10/0x20/P/-/-/0/UNCOND"
+        untyped = self.HEAD + b"0x10/0x20/P/-/-/0 0x14/-/P/"
+        assert scan(typed)[0][:, cext.PERF_KIND].tolist() == [cext.PERF_SCANNED]
+        assert scan(typed, True)[0][:, cext.PERF_KIND].tolist() == [cext.PERF_HANDED_BACK]
+        assert scan(untyped, True)[0][:, cext.PERF_KIND].tolist() == [cext.PERF_SCANNED]
+
+    def test_event_table_overflow_hands_back(self, tmp_path):
+        distinct = cext.PERF_EVENTS + 3
+        text = b"".join(b"p 1 ev%d: 0x%x/-/P\n" % (i, 4 * i) for i in range(distinct))
+        lines, _, events = scan(text)
+        kinds = lines[:, cext.PERF_KIND].tolist()
+        assert kinds[: cext.PERF_EVENTS] == [cext.PERF_SCANNED] * cext.PERF_EVENTS
+        assert kinds[cext.PERF_EVENTS : distinct] == [cext.PERF_HANDED_BACK] * 3
+        assert len(events) == cext.PERF_EVENTS
+        src = tmp_path / "events.txt"
+        src.write_bytes(text)
+        assert_routes_agree(src, {"event": "ev66"}, 8)
+
+    def test_no_array_is_written_past_its_length(self):
+        text = b"p 1 e: 0x10/0x20/P 0x14/0x24/P\np 1 e: 0x18/0x28/P\np 1 e: 0x1c/-/P\n"
+        buf = np.frombuffer(text, dtype=np.uint8)
+        lines = np.full((3, cext.PERF_COLUMNS), -7, dtype=np.int64)
+        pcs = np.full(4, -7, dtype=np.int64)
+        taken = np.full(4, 7, dtype=np.uint8)
+        events = np.full((2, 2), -7, dtype=np.int64)
+        totals = np.zeros(3, dtype=np.int64)
+        # Room for one record and two lines: the first line's two records
+        # do not fit, so it goes back; the third line is not reported.
+        cext.load()["perf_scan"](buf, False, lines[:2], pcs[:1], taken[:1], events[:1], totals)
+        assert totals.tolist() == [2, 1, 1]
+        kinds = lines[:2, cext.PERF_KIND].tolist()
+        assert kinds == [cext.PERF_HANDED_BACK, cext.PERF_SCANNED]
+        assert pcs[0] == 0x18 and (pcs[1:] == -7).all() and (taken[1:] == 7).all()
+        assert (lines[2] == -7).all() and (events[1] == -7).all()
+
+    @pytest.mark.parametrize(
+        "case", ["dtype", "strided", "read-only", "columns", "overlap", "totals", "taken"]
+    )
+    def test_bad_arrays_rejected(self, case):
+        buf = np.frombuffer(b"p 1 e: 0x10/0x20/P", dtype=np.uint8)
+        arrays = {
+            "lines": np.zeros((1, cext.PERF_COLUMNS), dtype=np.int64),
+            "pcs": np.zeros(4, dtype=np.int64),
+            "taken": np.zeros(4, dtype=np.uint8),
+            "events": np.zeros((2, 2), dtype=np.int64),
+            "totals": np.zeros(3, dtype=np.int64),
+        }
+        if case == "dtype":
+            arrays["pcs"] = arrays["pcs"].astype(np.int32)
+        elif case == "strided":
+            arrays["pcs"] = np.zeros(8, dtype=np.int64)[::2]
+        elif case == "read-only":
+            arrays["lines"].setflags(write=False)
+        elif case == "columns":
+            arrays["lines"] = np.zeros((1, 3), dtype=np.int64)
+        elif case == "overlap":
+            shared = np.zeros(8, dtype=np.int64)
+            arrays["events"], arrays["totals"] = shared[:4].reshape(2, 2), shared[3:6]
+        elif case == "totals":
+            arrays["totals"] = np.zeros(2, dtype=np.int64)
+        elif case == "taken":
+            arrays["taken"] = np.zeros(3, dtype=np.uint8)
+        with pytest.raises(ConfigurationError, match="perf_scan"):
+            cext.load()["perf_scan"](buf, False, *arrays.values())
+        assert not arrays["totals"].any()  # C never ran
+
+    def test_block_must_be_bytes(self):
+        with pytest.raises(ConfigurationError, match="bytes"):
+            cext.perf_scan("p 1 e: 0x10/0x20/P", False)
+        with pytest.raises(ConfigurationError, match="bytes"):
+            cext.perf_scan(np.zeros(4, dtype=np.int64), False)
+
+
+def route_output(path, backend, options, chunk_len):
+    """Chunks, report and .rbt bytes of one ingest on ``backend``."""
+    out = Path(str(path) + f".{backend}.rbt")
+    with mock.patch.dict(os.environ, {"REPRO_ENGINE_BACKEND": backend}):
+        parser = PerfParser(path, **options)
+        chunks = [records(chunk) for chunk in parser.chunks(chunk_len)]
+        try:
+            ingest_perf(path, out, chunk_len=chunk_len, compress=True, **options)
+            written = out.read_bytes()
+        except TraceError:
+            written = None
+    return chunks, parser.report.to_dict(), written
+
+
+def assert_routes_agree(path, options, chunk_len):
+    expected = route_output(path, "python", options, chunk_len)
+    assert route_output(path, "cext", options, chunk_len) == expected
+
+
+@pytest.mark.skipif(not CEXT_USABLE, reason="no C compiler on this host")
+class TestRoutesAgree:
+    """The scanner route gives the per-line parser's chunks, report and
+    ``.rbt`` bytes under every option and chunk length."""
+
+    @pytest.mark.parametrize("chunk_len", [8, 65_536, 1 << 20])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"event": "branches"}, {"pid": 1111}, {"cond_only": True}],
+        ids=["all", "event", "pid", "cond-only"],
+    )
+    @pytest.mark.parametrize("path", [CLEAN, INTERLEAVED, TRUNCATED, GARBAGE], ids=lambda p: p.stem)
+    def test_fixture(self, path, options, chunk_len, tmp_path):
+        copy = tmp_path / path.name
+        copy.write_bytes(path.read_bytes())
+        assert_routes_agree(copy, options, chunk_len)
+
+    @pytest.mark.parametrize("cond_only", [False, True])
+    def test_typed_entries(self, tmp_path, cond_only):
+        src = tmp_path / "typed.txt"
+        src.write_bytes(
+            b"p 1 [0] 1.0: 1 branches: 0x10/0x20/P/-/-/0/COND 0x14/0x24/P/-/-/0/UNCOND\n"
+            b"p 1 [0] 1.1: 1 branches: 0x18/0x28/P/-/-/0/COND/- 0x1c/0x2c/P/-/-/0\n"
+            b"p 1 [0] 1.2: 1 branches: 0x20/0x30/P/-/-/0/uncond/- 0x24/0x34/P//\n"
+            b"p 1 [0] 1.3: 1 branches: 0x28/0x38/P//-/-/JCC 0x2c/0x3c/P/-/-/0/-\n"
+        )
+        assert_routes_agree(src, {"cond_only": cond_only}, 8)
+
+    @pytest.mark.parametrize("pid", [-1, 0, 7, 1 << 70])
+    def test_pid_filter_on_lines_with_and_without_pids(self, tmp_path, pid):
+        src = tmp_path / "pids.txt"
+        src.write_bytes(
+            b"branches: 0x10/0x20/P\n"
+            b"p 7 branches: 0x14/0x24/P\n"
+            b"p 0/0 branches: 0x18/0x28/P\n"
+            b"7 branches: 0x1c/0x2c/P\n"
+        )
+        assert_routes_agree(src, {"pid": pid}, 8)
+
+    def test_lines_across_read_blocks(self, tmp_path, monkeypatch):
+        # Small reads put block boundaries inside lines and between a
+        # line and its newline; the hand-back lines keep their places.
+        from repro.ingest import perf
+
+        monkeypatch.setattr(perf, "_READ_BLOCK", 97)
+        copy = tmp_path / "garbage.txt"
+        copy.write_bytes(GARBAGE.read_bytes() + CLEAN.read_bytes().replace(b"\n", b"\r\n"))
+        assert_routes_agree(copy, {"event": "branches"}, 8)
+
+    def test_python_backend_never_scans(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scanner ran on the python backend")
+
+        monkeypatch.setattr(cext, "perf_scan", refuse)
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "python")
+        trace, _ = parse_perf_trace(CLEAN)
+        assert records(trace) == oracle_records(CLEAN)
