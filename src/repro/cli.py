@@ -17,7 +17,6 @@
     python -m repro simulate --spec S [opts]  # simulate a JSON spec
     python -m repro simulate --spec S --workload W   # …on one workload
     python -m repro simulate --spec S --workload file:big.rbt  # streams
-    python -m repro simulate --spec S --backend cext # compiled kernels
     python -m repro backends                  # backend availability
     python -m repro trace info FILE           # inspect a saved trace
     python -m repro trace convert IN OUT --v2 --compress  # re-chunk/zlib
@@ -59,7 +58,6 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .engine.backend import BACKENDS
 from .errors import ConfigurationError, LockTimeout, ReproError
 from .experiments import ExperimentContext, all_experiment_ids, get_experiment
 from .pipeline import RetryPolicy
@@ -176,16 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-plan",
         action="store_true",
         help="print the session execution plan before the results",
-    )
-    sim.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "kernel backend of the two-level carrier and the "
-            "per-record families (default: $REPRO_ENGINE_BACKEND or auto; "
-            "see docs/PERFORMANCE.md)"
-        ),
     )
     _add_context_options(sim)
 
@@ -1108,14 +1096,15 @@ def _run_backends() -> int:
     resolved = resolve_backend("auto")
     print(f"{'auto':8s} {'->':12s} {resolved}")
     if env:
-        print(f"REPRO_ENGINE_BACKEND={env} (the default when --backend is omitted)")
+        # The one backend setting: what it resolves to, or why it cannot.
+        print(f"REPRO_ENGINE_BACKEND={env} -> {resolve_backend()} (every simulation and ingest)")
     return 0
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     context = _context_from(args)
-    session = context.session(backend=args.backend)
+    session = context.session()
     if args.workload is not None:
         workload = resolve_workload(args.workload, scale=args.scale)
         # A suite simulates per member (mirroring the per-benchmark

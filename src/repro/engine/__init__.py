@@ -43,7 +43,6 @@ from .backend import (
     backend_availability,
     compiled_stream,
     resolve_backend,
-    supports_compiled,
 )
 from .batched import simulate_batched, simulate_batched_stream, supports_batched
 from .reference import simulate_reference
@@ -63,7 +62,6 @@ __all__ = [
     "backend_availability",
     "compiled_stream",
     "resolve_backend",
-    "supports_compiled",
     "SimulationResult",
     "BranchResult",
     "segmented_automaton_scan",
@@ -77,7 +75,6 @@ def simulate(
     trace: Trace,
     *,
     engine: str = "auto",
-    backend: str | None = None,
 ) -> SimulationResult:
     """Simulate a predictor over a trace.
 
@@ -92,15 +89,10 @@ def simulate(
         ``"auto"`` (the predictor's carrier, see
         :func:`stream_simulator`) or ``"reference"`` (the oracle).
         Anything else raises :class:`~repro.errors.ConfigurationError`.
-    backend:
-        Kernel implementation of the two-level carrier and the
-        per-record families (``python``/``cext``/``auto``; see
-        :mod:`repro.engine.backend` and docs/PERFORMANCE.md).  Default:
-        ``REPRO_ENGINE_BACKEND``, else auto-detect.
+        The carriers' kernels come from ``REPRO_ENGINE_BACKEND`` (see
+        :mod:`repro.engine.backend` and docs/PERFORMANCE.md).
     """
     predictor = build_predictor(predictor)
     if engine == "reference":
         return simulate_reference(predictor, trace)
-    return simulate_stream(
-        predictor, [trace], engine=engine, backend=backend, trace_name=trace.name
-    )
+    return simulate_stream(predictor, [trace], engine=engine, trace_name=trace.name)

@@ -24,12 +24,14 @@ a time.  This module picks *how* those loops run:
 ``auto``
     The fastest available: ``cext``, else ``python``.
 
-Selection order: explicit argument (``--backend`` on the CLI,
-``backend=`` in the API) beats the ``REPRO_ENGINE_BACKEND`` environment
-variable, which beats ``auto``.  A carrier resolves its backend once,
-when it is built.  Requesting an unavailable backend by name is a
-:class:`~repro.errors.ConfigurationError` (only ``auto`` falls back
-silently); every backend emits byte-identical predictions, pinned by
+The backend is one process-level setting: the
+``REPRO_ENGINE_BACKEND`` environment variable, else ``auto``.  No
+entry point takes it as an argument, because every backend emits
+byte-identical predictions and it only decides speed.  A carrier
+resolves it once, when it is built (:func:`resolve_backend`), and so
+does each pass of perf ingest.  Requesting an unavailable backend by
+name is a :class:`~repro.errors.ConfigurationError` (only ``auto``
+falls back silently); the bit-identity is pinned by
 ``tests/test_engine_backend.py`` and ``tests/test_engine_batched.py``.
 """
 
@@ -53,10 +55,9 @@ __all__ = [
     "backend_availability",
     "compiled_stream",
     "resolve_backend",
-    "supports_compiled",
 ]
 
-#: Recognised values of ``REPRO_ENGINE_BACKEND`` / ``--backend``.
+#: Recognised values of ``REPRO_ENGINE_BACKEND``.
 BACKENDS = ("auto", "python", "cext")
 
 
@@ -97,19 +98,6 @@ def resolve_backend(backend: str | None = None) -> str:
         if not usable:
             raise ConfigurationError(f"backend {backend!r} is unavailable: {reason}")
     return backend
-
-
-def supports_compiled(predictor) -> bool:
-    """True if ``predictor`` has a C per-record kernel.
-
-    Filter predictors qualify only over two-level/bimodal backings
-    (other backings keep the object-based reference stream).
-    """
-    if isinstance(predictor, (YagsPredictor, BiModePredictor, DhlfPredictor)):
-        return True
-    if isinstance(predictor, FilterPredictor):
-        return isinstance(predictor.backing, (TwoLevelPredictor, BimodalPredictor))
-    return False
 
 
 # -- per-family kernel streams -------------------------------------------------
@@ -230,21 +218,27 @@ def _dhlf_stream(predictor: DhlfPredictor, kernel) -> _KernelStream:
     return _KernelStream(kernel, regs, params, state)
 
 
-def compiled_stream(predictor, backend: str | None = None):
+def compiled_stream(predictor):
     """A C-kernel chunk stream for ``predictor``, or None when the
-    family has no C kernel or ``backend`` resolves to ``python`` (the
-    caller then steps the stateful predictor itself).  The stream
-    always starts from reset state, like every carrier in
-    :mod:`repro.engine.streaming`.
+    family has no C kernel or the backend resolves to ``python`` (the
+    caller then steps the stateful predictor itself).  YAGS, bi-mode
+    and DHLF have a kernel, and so does a filter over a two-level or
+    bimodal backing.  The family is checked first, so a family without
+    a kernel never triggers a C build.  The stream always starts from
+    reset state, like every carrier in :mod:`repro.engine.streaming`.
     """
-    if not supports_compiled(predictor) or resolve_backend(backend) != "cext":
-        return None
-    table = cext.load()
     if isinstance(predictor, YagsPredictor):
-        return _yags_stream(predictor, table["yags_step"])
-    if isinstance(predictor, BiModePredictor):
-        return _bimode_stream(predictor, table["bimode_step"])
-    if isinstance(predictor, FilterPredictor):
-        return _filter_stream(predictor, table["filter_step"])
-    assert isinstance(predictor, DhlfPredictor)
-    return _dhlf_stream(predictor, table["dhlf_step"])
+        build, name = _yags_stream, "yags_step"
+    elif isinstance(predictor, BiModePredictor):
+        build, name = _bimode_stream, "bimode_step"
+    elif isinstance(predictor, DhlfPredictor):
+        build, name = _dhlf_stream, "dhlf_step"
+    elif isinstance(predictor, FilterPredictor) and isinstance(
+        predictor.backing, (TwoLevelPredictor, BimodalPredictor)
+    ):
+        build, name = _filter_stream, "filter_step"
+    else:
+        return None
+    if resolve_backend() != "cext":
+        return None
+    return build(predictor, cext.load()[name])

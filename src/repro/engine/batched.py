@@ -447,8 +447,8 @@ class BatchedStream:
 
     Identical geometries, such as the paper's PAs-h0 and GAs-h0, are
     simulated once and share one prediction array, or one row of
-    counted misses.  ``backend``
-    (:func:`~repro.engine.backend.resolve_backend`, resolved once, here)
+    counted misses.  The backend
+    (:func:`~repro.engine.backend.resolve_backend`, read once, here)
     picks how the unique configurations advance:
 
     ``cext``
@@ -465,12 +465,7 @@ class BatchedStream:
         each stacked scan.
     """
 
-    def __init__(
-        self,
-        predictors,
-        *,
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, predictors) -> None:
         specs = [_spec_of(p) for p in predictors]
 
         # Unique configurations, their PHTs laid end to end in one table.
@@ -489,7 +484,7 @@ class BatchedStream:
                 size += 1 << s.pht_index_bits
             self._slot_of_spec.append(slot)
 
-        self.backend = resolve_backend(backend)
+        self.backend = resolve_backend()
         self._kernel = None
         if self.backend == "cext":
             self._kernel = _SweepKernel(self._unique, cext.load())
@@ -614,24 +609,18 @@ class BatchedStream:
 # -- entry points ---------------------------------------------------------------
 
 
-def simulate_batched(
-    predictors,
-    trace: Trace,
-    *,
-    backend: str | None = None,
-) -> list[SimulationResult]:
+def simulate_batched(predictors, trace: Trace) -> list[SimulationResult]:
     """Cold-start simulation of many two-level predictors with per-PC
     attribution: :func:`simulate_batched_stream` over the trace as one
     chunk.  Each result is exactly what ``simulate_reference`` would
     produce for that predictor."""
-    return simulate_batched_stream(predictors, [trace], backend=backend, trace_name=trace.name)
+    return simulate_batched_stream(predictors, [trace], trace_name=trace.name)
 
 
 def simulate_batched_stream(
     predictors,
     chunks: Iterable,
     *,
-    backend: str | None = None,
     trace_name: str | None = None,
 ) -> list[SimulationResult]:
     """Many two-level predictors over a chunk iterator in one pass.
@@ -640,9 +629,9 @@ def simulate_batched_stream(
     chunks, with peak memory O(chunk × configs-per-pass) instead of
     O(trace).  Chunks are :class:`~repro.trace.stream.Trace` objects
     (e.g. a :class:`~repro.trace.io.TraceReader`) or ``(pcs, outcomes)``
-    pairs.  ``backend`` picks the carrier's path (see
+    pairs.  The backend picks the carrier's path (see
     :class:`BatchedStream`); the results do not depend on it.
     """
     predictors = list(predictors)
-    carrier = BatchedStream(predictors, backend=backend)
+    carrier = BatchedStream(predictors)
     return _attribute_chunks(carrier.misses, predictors, chunks, trace_name)

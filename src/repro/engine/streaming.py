@@ -82,8 +82,8 @@ class _OneConfig:
 
     __slots__ = ("batch",)
 
-    def __init__(self, predictor, backend: str | None) -> None:
-        self.batch = BatchedStream([predictor], backend=backend)
+    def __init__(self, predictor) -> None:
+        self.batch = BatchedStream([predictor])
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         return self.batch.feed(pcs, outcomes)[0]
@@ -165,9 +165,9 @@ class _AgreeStream:
 class _TournamentStream:
     """Tournament: carried component carriers + chooser table."""
 
-    def __init__(self, predictor: TournamentPredictor, backend: str | None) -> None:
-        self.first = stream_simulator(predictor.first, backend=backend)
-        self.second = stream_simulator(predictor.second, backend=backend)
+    def __init__(self, predictor: TournamentPredictor) -> None:
+        self.first = stream_simulator(predictor.first)
+        self.second = stream_simulator(predictor.second)
         chooser = predictor.chooser
         self.entries = chooser.entries
         self.index_bits = chooser.index_bits
@@ -215,9 +215,9 @@ class _TournamentStream:
 class _HybridStream:
     """Class-routed hybrid: carried per-component sub-streams."""
 
-    def __init__(self, predictor: ClassRoutedHybrid, backend: str | None) -> None:
+    def __init__(self, predictor: ClassRoutedHybrid) -> None:
         self.predictor = predictor
-        self.components = [stream_simulator(c, backend=backend) for c in predictor.components]
+        self.components = [stream_simulator(c) for c in predictor.components]
         self._route_cache: dict[int, int] = {}
 
     def feed(self, pcs: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
@@ -294,7 +294,7 @@ class _ReferenceStream:
         return np.array(predictions, dtype=bool).view(np.uint8)
 
 
-def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = None):
+def stream_simulator(predictor, *, engine: str = "auto"):
     """The carrier for ``predictor``.
 
     Its ``feed(pcs, outcomes)`` yields the per-step predictions for one
@@ -305,26 +305,25 @@ def stream_simulator(predictor, *, engine: str = "auto", backend: str | None = N
     tournaments, class-routed hybrids and static predictors, a C
     per-record kernel (:func:`~repro.engine.backend.compiled_stream`)
     when the family has one and the backend is ``cext``, and the
-    stateful predictor otherwise.  ``backend`` selects the kernels of
-    the two-level carriers and of the per-record families (default:
-    ``REPRO_ENGINE_BACKEND``, else auto-detect); components of a
-    tournament or hybrid inherit it.
+    stateful predictor otherwise.  Each carrier reads the backend
+    (:func:`~repro.engine.backend.resolve_backend`) once, when it is
+    built.
     """
     if engine == "reference":
         return _ReferenceStream(predictor)
     if engine != "auto":
         raise ConfigurationError(f"unknown engine {engine!r}; expected 'auto' or 'reference'")
     if supports_batched(predictor):
-        return _OneConfig(predictor, backend)
+        return _OneConfig(predictor)
     if isinstance(predictor, AgreePredictor):
         return _AgreeStream(predictor)
     if isinstance(predictor, TournamentPredictor):
-        return _TournamentStream(predictor, backend)
+        return _TournamentStream(predictor)
     if isinstance(predictor, ClassRoutedHybrid):
-        return _HybridStream(predictor, backend)
+        return _HybridStream(predictor)
     if isinstance(predictor, _STATIC_TYPES):
         return _StaticStream(predictor)
-    return compiled_stream(predictor, backend) or _ReferenceStream(predictor)
+    return compiled_stream(predictor) or _ReferenceStream(predictor)
 
 
 # -- entry points ---------------------------------------------------------------
@@ -335,7 +334,6 @@ def simulate_stream(
     chunks: Iterable,
     *,
     engine: str = "auto",
-    backend: str | None = None,
     trace_name: str | None = None,
 ) -> SimulationResult:
     """Simulate one predictor over a chunk iterator.
@@ -346,13 +344,11 @@ def simulate_stream(
     :class:`~repro.spec.PredictorSpec`; chunks are
     :class:`~repro.trace.stream.Trace` objects (e.g. a
     :class:`~repro.trace.io.TraceReader`) or ``(pcs, outcomes)`` pairs.
-    ``backend`` picks the kernels of the two-level carrier and the
-    per-record families (see :mod:`repro.engine.backend`).
     """
     from ..spec import build_predictor  # lazy: spec imports engine
 
     predictor = build_predictor(predictor)
-    carrier = stream_simulator(predictor, engine=engine, backend=backend)
+    carrier = stream_simulator(predictor, engine=engine)
 
     def count(pcs, outcomes, ids, width):
         return count_misses([carrier.feed(pcs, outcomes)], outcomes, ids, width)

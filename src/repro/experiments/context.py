@@ -186,13 +186,11 @@ class ExperimentContext:
         """One experiment's rendered result (the ``render:*`` artifact)."""
         return self.pipeline.value(f"render:{experiment_id}")
 
-    def session(self, *, backend: str | None = None) -> Session:
+    def session(self) -> Session:
         """A :class:`~repro.session.Session` on this context's engine.
 
         Experiment code that simulates ad-hoc spec jobs (beyond the
         pipeline's sweep artifacts) should route them through one of
         these so jobs on the same trace share batched passes.
-        ``backend`` forwards to the session (the compiled-kernel
-        backend; see docs/PERFORMANCE.md).
         """
-        return Session(engine=self.engine, backend=backend)
+        return Session(engine=self.engine)

@@ -50,7 +50,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ..errors import TraceError
-from ..trace.io import DEFAULT_CHUNK_LEN, write_chunks
+from ..trace.io import DEFAULT_CHUNK_LEN, rechunk, write_chunks
 from ..trace.stream import Trace, concat as concat_traces
 
 __all__ = [
@@ -373,21 +373,25 @@ class PerfParser:
 
         The final line is yielded even without a trailing newline, so a
         dump truncated mid-record still parses (its broken tail is
-        counted as a skip, not an error).
+        counted as a skip, not an error).  The unfinished line is held
+        as a list of reads and only each new read is searched, so a
+        line spanning many reads costs linear time.
         """
-        tail = b""
+        tail: list[bytes] = []
         while True:
             block = fp.read(_READ_BLOCK)
             if not block:
                 break
             digest.update(block)
-            tail += block
-            cut = tail.rfind(b"\n")
-            if cut >= 0:
-                yield tail[:cut]
-                tail = tail[cut + 1 :]
-        if tail:
-            yield tail
+            cut = block.rfind(b"\n")
+            if cut < 0:
+                tail.append(block)
+                continue
+            yield b"".join([*tail, block[:cut]])
+            tail = [block[cut + 1 :]]
+        rest = b"".join(tail)
+        if rest:
+            yield rest
 
     def _parse_lines(self, block: bytes, report: IngestReport) -> tuple[np.ndarray, np.ndarray]:
         """The records of ``block``, every line through :meth:`_parse_line`."""
@@ -469,8 +473,8 @@ class PerfParser:
         except OSError as exc:
             raise TraceError(f"cannot read perf trace {self.path!r}: {exc}") from None
         with fp:
-            parts = (parse(block, report) for block in self._blocks(fp, digest))
-            yield from _rechunk(parts, chunk_len)
+            parts = (Trace(*parse(block, report)) for block in self._blocks(fp, digest))
+            yield from rechunk(parts, chunk_len)
         report.sha256 = digest.hexdigest()
         self.report = report
 
@@ -483,26 +487,6 @@ def _narrow(keep: np.ndarray, matches: np.ndarray, report: IngestReport, name: s
         report.filtered_lines += dropped
         report._count(f"{name}-filtered", dropped)
     return keep & matches
-
-
-def _rechunk(parts: Iterator[tuple[np.ndarray, np.ndarray]], chunk_len: int) -> Iterator[Trace]:
-    """Traces of exactly ``chunk_len`` records (the last may be shorter)
-    cut from a stream of ``(pcs, taken)`` parts."""
-    held: list[tuple[np.ndarray, np.ndarray]] = []
-    count = 0
-    for part in parts:
-        held.append(part)
-        count += len(part[0])
-        if count < chunk_len:
-            continue
-        pcs = np.concatenate([p for p, _ in held])
-        taken = np.concatenate([t for _, t in held])
-        full = count - count % chunk_len
-        for start in range(0, full, chunk_len):
-            yield Trace(pcs[start : start + chunk_len], taken[start : start + chunk_len])
-        held, count = [(pcs[full:], taken[full:])], count - full
-    if count:
-        yield Trace(np.concatenate([p for p, _ in held]), np.concatenate([t for _, t in held]))
 
 
 def parse_perf_trace(

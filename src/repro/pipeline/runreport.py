@@ -44,11 +44,12 @@ interleave torn writes; a corrupt or foreign report loads as empty.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from ..files import replacing
 
 __all__ = ["RUN_REPORT_NAME", "RUN_REPORT_VERSION", "NodeRecord", "RunReport"]
 
@@ -192,7 +193,6 @@ class RunReport:
         }
         if self.known_failures:
             payload["known_failures"] = self.known_failures
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        os.replace(tmp, path)
+        with replacing(path, "w") as fh:
+            fh.write(json.dumps(payload, indent=1, sort_keys=True))
         return path

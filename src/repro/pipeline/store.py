@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import time
 from collections.abc import Mapping
 from pathlib import Path
@@ -56,6 +55,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .. import faults
+from ..files import replacing
 from .locking import FileLock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -150,9 +150,8 @@ class ArtifactStore:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(dict(info), indent=1, sort_keys=True))
-        os.replace(tmp, path)
+        with replacing(path, "w") as fh:
+            fh.write(json.dumps(dict(info), indent=1, sort_keys=True))
 
     def read_serve_info(self) -> dict[str, Any] | None:
         """The recorded serve-lock holder, or ``None`` (absent/corrupt)."""
@@ -251,25 +250,13 @@ class ArtifactStore:
         path = self.object_path(digest)
         assert path is not None
         faults.inject("store-write", fault_token or digest)
-        # Per-process temp name: concurrent runs sharing a cache dir may
-        # race to write the same digest; each must land its own temp
-        # file, with os.replace arbitrating (last rename wins, both
-        # contents are identical by content addressing).
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(
-                    fh, **{_META_KEY: json.dumps(meta, sort_keys=True)}, **arrays
-                )
-            os.replace(tmp, path)
-        finally:
-            # Failed write: do not leave temp litter.  The cleanup must
-            # itself be exception-safe — the file may already be gone
-            # (successful rename, or a concurrent gc sweeping litter) and
-            # an unlink race here would otherwise mask the original
-            # write exception.
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
+        # Concurrent runs sharing a cache dir may race to write the same
+        # digest; each lands its own temp file and the last rename wins
+        # (both contents are identical by content addressing).
+        with replacing(path) as fh:
+            np.savez_compressed(
+                fh, **{_META_KEY: json.dumps(meta, sort_keys=True)}, **arrays
+            )
         faults.inject_corruption(path, fault_token or digest)
         self._memory[digest] = value
         self._pending_manifest[digest] = {
@@ -315,9 +302,8 @@ class ArtifactStore:
         path = self.manifest_path
         if path is None:
             return
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-        os.replace(tmp, path)
+        with replacing(path, "w") as fh:
+            fh.write(json.dumps(manifest, indent=1, sort_keys=True))
 
     def entries(self) -> list[ManifestEntry]:
         """Manifest records (plus digest), newest first."""

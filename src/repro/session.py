@@ -56,7 +56,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .engine import simulate, simulate_batched, simulate_batched_stream, simulate_stream
-from .engine.backend import BACKENDS
 from .engine.results import SimulationResult
 from .errors import ConfigurationError, TraceError
 from .spec import BimodalSpec, PredictorSpec, TwoLevelSpec
@@ -255,12 +254,8 @@ class Session:
         ``"auto"`` batches two-level-family specs per trace into one
         multi-configuration pass and runs every other spec on its
         family's carrier; ``"reference"`` runs every job on the oracle.
-    backend:
-        Kernel backend of the two-level carrier and the per-record
-        families (``auto``/``python``/``cext``; see
-        :mod:`repro.engine.backend`).  ``None`` defers to
-        ``REPRO_ENGINE_BACKEND``.  Backends are bit-identical, so the
-        session memo is unaffected by this choice.
+        The carriers' kernels come from ``REPRO_ENGINE_BACKEND`` (see
+        :mod:`repro.engine.backend`); every backend is bit-identical.
 
     Lifecycle: :meth:`submit` any number of jobs, optionally inspect
     :meth:`plan`, then :meth:`run` — which returns a
@@ -268,18 +263,10 @@ class Session:
     result in the session memo for later resubmissions.
     """
 
-    def __init__(
-        self,
-        *,
-        engine: str = "auto",
-        backend: str | None = None,
-    ) -> None:
+    def __init__(self, *, engine: str = "auto") -> None:
         if engine not in ENGINES:
             raise ConfigurationError(f"engine {engine!r} not in {ENGINES}")
-        if backend is not None and backend not in BACKENDS:
-            raise ConfigurationError(f"backend {backend!r} not in {BACKENDS}")
         self.engine = engine
-        self.backend = backend
         self._pending: list[SimulationJob] = []
         self._submitted = 0
         # Workloads are grouped by *content*: workload specs key on
@@ -429,26 +416,19 @@ class Session:
                 predictors = [spec.build() for spec in specs]
                 if streamed:
                     results = simulate_batched_stream(
-                        predictors, trace.chunks(), backend=self.backend, trace_name=trace.name
+                        predictors, trace.chunks(), trace_name=trace.name
                     )
                 else:
-                    results = simulate_batched(predictors, trace, backend=self.backend)
+                    results = simulate_batched(predictors, trace)
             elif streamed:
                 results = [
                     simulate_stream(
-                        spec.build(),
-                        trace.chunks(),
-                        engine=batch.engine,
-                        trace_name=trace.name,
-                        backend=self.backend,
+                        spec.build(), trace.chunks(), engine=batch.engine, trace_name=trace.name
                     )
                     for spec in specs
                 ]
             else:
-                results = [
-                    simulate(spec.build(), trace, engine=batch.engine, backend=self.backend)
-                    for spec in specs
-                ]
+                results = [simulate(spec.build(), trace, engine=batch.engine) for spec in specs]
             for spec, result in zip(specs, results):
                 self._memo[(slot, spec)] = result
 

@@ -43,6 +43,7 @@ from typing import BinaryIO, TextIO
 import numpy as np
 
 from ..errors import TraceError, TraceFormatError
+from ..files import replacing
 from .stream import Trace
 
 __all__ = [
@@ -189,47 +190,17 @@ def read_binary(fp: BinaryIO) -> Trace:
     header = fp.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise TraceFormatError("truncated trace header")
-    magic, version, flags, count, name_len = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}; not a repro branch trace")
-    if version == 1:
-        name = _decode_name(_read_exact(fp, name_len, "trace name"))
-        packed_len = (count + 7) // 8
-        if fp.seekable():
-            # Reject a count the stream cannot hold before reading it.
-            here = fp.tell()
-            available = fp.seek(0, os.SEEK_END) - here
-            fp.seek(here)
-            if available < count * 8 + packed_len:
-                short = "pc" if available < count * 8 else "outcome"
-                raise TraceFormatError(
-                    f"truncated {short} payload: {count} records need "
-                    f"{count * 8 + packed_len} bytes, {available} left"
-                )
-        pcs_raw = _read_exact(fp, count * 8, "pc payload")
-        out_raw = _read_exact(fp, packed_len, "outcome payload")
-        pcs = np.frombuffer(pcs_raw, dtype="<i8").astype(np.int64)
-        outcomes = np.unpackbits(np.frombuffer(out_raw, dtype=np.uint8), count=count)
-        return _decoded_trace(pcs, outcomes, name)
-    if version == 2:
-        # v2 needs the footer index; delegate to the chunk reader, which
-        # validates the index against the header and concatenates.  The
-        # reader's index offsets (and its end-of-file trailer lookup)
-        # are absolute, so the in-place fast path only applies when the
-        # trace starts at byte 0; a trace embedded at a non-zero offset
-        # (the current position, as for v1) is slurped into memory.
-        at_origin = fp.seekable() and fp.tell() == _HEADER.size
-        if at_origin:
-            fp.seek(0)
-            reader = TraceReader(fp)
-        else:
-            reader = TraceReader(io.BytesIO(header + fp.read()))
-        try:
-            return reader.read()
-        finally:
-            if not at_origin:
-                reader.close()
-    raise TraceFormatError(f"unsupported trace format version {version}")
+    # The chunk reader parses and validates both versions.  Its offsets
+    # (and its end-of-file trailer lookup) are absolute, so it reads in
+    # place only a trace that starts at byte 0; a trace embedded at a
+    # non-zero offset, or a stream that cannot seek, is slurped first.
+    if fp.seekable() and fp.tell() == _HEADER.size:
+        fp.seek(0)
+        source = fp
+    else:
+        source = io.BytesIO(header + fp.read())
+    with TraceReader(source) as reader:
+        return reader.read()
 
 
 # -- chunked streaming writer -------------------------------------------------
@@ -280,12 +251,13 @@ def write_chunks(
     chunk boundaries are preserved as the file's chunk boundaries
     (``chunk_len`` is recorded as the nominal size; pass the iterator
     through :func:`rechunk` to normalize).  Returns the total number of
-    records written.
+    records written.  A path is replaced only once the whole file is
+    written (see :func:`save_trace`).
     """
     if chunk_len < 1:
         raise TraceFormatError(f"chunk_len must be positive, got {chunk_len}")
     if isinstance(destination, (str, os.PathLike)):
-        with open(destination, "wb") as fp:
+        with replacing(destination) as fp:
             return write_chunks(
                 chunks, fp, name=name, compress=compress, chunk_len=chunk_len
             )
@@ -429,11 +401,14 @@ class TraceReader:
         data_start = _HEADER.size + name_len
         self._pcs_start = data_start
         self._out_start = data_start + count * 8
+        # Reject a count the file cannot hold before any read sized by it.
         end = self._fp.seek(0, os.SEEK_END)
         needed = self._out_start + (count + 7) // 8
         if end < needed:
+            short = "pc" if end < self._out_start else "outcome"
             raise TraceFormatError(
-                f"truncated v1 payload: file has {end} bytes, needs {needed}"
+                f"truncated {short} payload: {count} records need "
+                f"{needed - data_start} bytes, {end - data_start} left"
             )
         self._chunks: list[_ChunkEntry] = []
         start = 0
@@ -519,13 +494,18 @@ class TraceReader:
         the file's trace, so per-PC attribution keeps working)."""
         if not 0 <= index < len(self._chunks):
             raise IndexError(f"chunk index {index} out of range [0, {len(self._chunks)})")
+        return self._chunk(index, mapped=True)
+
+    def _chunk(self, index: int, *, mapped: bool) -> Trace:
         entry = self._chunks[index]
         if self.version == 1:
-            return self._read_v1_chunk(entry)
-        return self._read_v2_chunk(entry, index)
+            return self._read_v1_chunk(entry, mapped)
+        return self._read_v2_chunk(entry, index, mapped)
 
-    def _payload(self, offset: int, length: int, what: str) -> bytes | memoryview:
-        if self._mmap is not None:
+    def _payload(self, offset: int, length: int, what: str, mapped: bool) -> bytes | memoryview:
+        """``length`` bytes at ``offset``: a view of the mapping when
+        ``mapped`` and the file is mapped, else bytes read from the file."""
+        if mapped and self._mmap is not None:
             view = memoryview(self._mmap)[offset : offset + length]
             if len(view) != length:
                 raise TraceFormatError(f"truncated {what}")
@@ -533,22 +513,22 @@ class TraceReader:
         self._fp.seek(offset)
         return _read_exact(self._fp, length, what)
 
-    def _read_v1_chunk(self, entry: _ChunkEntry) -> Trace:
-        pcs_raw = self._payload(entry.offset, entry.pcs_bytes, "pc payload")
+    def _read_v1_chunk(self, entry: _ChunkEntry, mapped: bool) -> Trace:
+        pcs_raw = self._payload(entry.offset, entry.pcs_bytes, "pc payload", mapped)
         # v1 outcomes are packed over the whole stream; chunk starts are
         # multiples of 8 records, so they land on byte boundaries.
         out_off = self._out_start + entry.start // 8
-        out_raw = self._payload(out_off, entry.out_bytes, "outcome payload")
+        out_raw = self._payload(out_off, entry.out_bytes, "outcome payload", mapped)
         pcs = np.frombuffer(pcs_raw, dtype="<i8")
         outcomes = np.unpackbits(
             np.frombuffer(out_raw, dtype=np.uint8), count=entry.count
         )
         return _decoded_trace(pcs, outcomes, self.name)
 
-    def _read_v2_chunk(self, entry: _ChunkEntry, index: int) -> Trace:
-        pcs_raw = self._payload(entry.offset, entry.pcs_bytes, "pc payload")
+    def _read_v2_chunk(self, entry: _ChunkEntry, index: int, mapped: bool) -> Trace:
+        pcs_raw = self._payload(entry.offset, entry.pcs_bytes, "pc payload", mapped)
         out_raw = self._payload(
-            entry.offset + entry.pcs_bytes, entry.out_bytes, "outcome payload"
+            entry.offset + entry.pcs_bytes, entry.out_bytes, "outcome payload", mapped
         )
         if self.compressed:
             try:
@@ -582,10 +562,15 @@ class TraceReader:
         return iter(self)
 
     def read(self) -> Trace:
-        """Materialize the whole trace (bit-identical to :func:`load_trace`)."""
+        """Materialize the whole trace (bit-identical to :func:`load_trace`).
+
+        The trace owns its arrays: its payloads are read from the file,
+        not viewed through the shared mapping as streamed chunks are,
+        which would change with the file and fault once it is truncated.
+        """
         if not self._chunks:
             return Trace.empty(name=self.name)
-        parts = list(self)
+        parts = [self._chunk(index, mapped=False) for index in range(len(self._chunks))]
         if len(parts) == 1:
             return parts[0]
         return Trace(
@@ -685,14 +670,17 @@ def save_trace(
 
     Binary traces default to format v2 (chunked); pass ``version=1``
     for the legacy monolithic layout and ``compress=True`` to zlib the
-    v2 chunk payloads.
+    v2 chunk payloads.  The file is written beside ``path`` and renamed
+    over it once complete (:func:`repro.files.replacing`), so a failed
+    write leaves ``path`` as it was, and a reader of the old file (an
+    in-place convert) keeps its bytes.
     """
     path = Path(path)
     if path.suffix == ".txt":
-        with open(path, "w", encoding="utf-8") as fp:
+        with replacing(path, "w", encoding="utf-8") as fp:
             write_text(trace, fp)
     else:
-        with open(path, "wb") as fp:
+        with replacing(path) as fp:
             write_binary(
                 trace, fp, version=version, compress=compress, chunk_len=chunk_len
             )

@@ -464,6 +464,34 @@ class TestTraceConvert:
         with TraceReader(dst) as reader:
             assert reader.version == 1
 
+    @pytest.mark.parametrize("flags", [["--version", "1"], ["--compress"]], ids=["v1", "zlib"])
+    def test_convert_in_place(self, tmp_path, flags):
+        # Writing over the input used to truncate it under its own memory
+        # map: the process died of SIGBUS, so the CLI runs in a child.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import numpy as np
+
+        from repro.trace import Trace, load_trace, save_trace
+
+        trace = Trace(np.arange(1000) * 4, np.arange(1000) % 2, name="c")
+        path = tmp_path / "x.rbt"
+        save_trace(trace, path)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "convert", str(path), str(path), *flags],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert load_trace(path) == trace
+        assert [entry.name for entry in tmp_path.iterdir()] == ["x.rbt"]
+
     def test_convert_rejects_v1_compress(self, capsys, tmp_path):
         src = tmp_path / "t.rbt"
         from repro.trace import Trace, save_trace

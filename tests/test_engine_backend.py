@@ -6,27 +6,35 @@ filter, DHLF) and every chunk split — including one record per chunk
 and one chunk for the whole trace — the family's carrier (its C
 kernel on ``cext``, the stateful predictor on ``python``) produces
 byte-identical predictions to the stateful reference predictors.
-Selection rules (explicit argument > environment > auto,
-unavailable-by-name raises, ``python`` always works) are pinned here
-too; docs/PERFORMANCE.md documents the same matrix for users.
+Selection rules (``REPRO_ENGINE_BACKEND``, else auto; no entry point
+takes a backend argument; unavailable-by-name raises; ``python``
+always works) are pinned here too; docs/PERFORMANCE.md documents the
+same matrix for users.  Tests choose a backend through the shared
+``backend`` fixture (the repository root's ``conftest.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import simulate, simulate_stream
+from repro.cli import main
+from repro.engine import (
+    simulate,
+    simulate_batched,
+    simulate_batched_stream,
+    simulate_stream,
+)
 from repro.engine.backend import (
     BACKENDS,
     _KernelStream,
     backend_availability,
     compiled_stream,
     resolve_backend,
-    supports_compiled,
 )
 from repro.engine.batched import BatchedStream
 from repro.engine.compiled import cext
 from repro.engine.streaming import _ReferenceStream, stream_simulator
 from repro.errors import ConfigurationError
+from repro.experiments import ExperimentContext
 from repro.session import Session
 from repro.spec import (
     BimodalSpec,
@@ -83,12 +91,6 @@ FAMILY_SPECS = {
 }
 
 
-def available_backends():
-    return [
-        name for name, (usable, _) in backend_availability().items() if usable
-    ]
-
-
 def chunks_of(trace, k):
     for start in range(0, len(trace), k):
         yield trace[start : start + k]
@@ -100,7 +102,6 @@ def reference_predictions(spec, trace):
 
 
 class TestKernelBitIdentity:
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("name", sorted(FAMILY_SPECS))
     @pytest.mark.parametrize("chunk_len", CHUNK_LENGTHS)
     def test_predictions_identical_across_chunk_splits(
@@ -108,11 +109,11 @@ class TestKernelBitIdentity:
     ):
         spec = FAMILY_SPECS[name]
         expected = reference_predictions(spec, TRACE)
-        stream = stream_simulator(spec.build(), backend=backend)
+        stream = stream_simulator(spec.build())
         # cext steps the family's C kernel; python the predictor itself.
         route = _KernelStream if backend == "cext" else _ReferenceStream
         assert type(stream) is route
-        assert (compiled_stream(spec.build(), backend) is None) == (backend == "python")
+        assert (compiled_stream(spec.build()) is None) == (backend == "python")
         got = np.concatenate(
             [
                 stream.feed(chunk.pcs, chunk.outcomes)
@@ -121,21 +122,19 @@ class TestKernelBitIdentity:
         )
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("name", sorted(FAMILY_SPECS))
     def test_simulate_result_identical(self, backend, name):
         spec = FAMILY_SPECS[name]
         base = simulate(spec, TRACE, engine="reference")
-        result = simulate(spec, TRACE, backend=backend)
+        result = simulate(spec, TRACE)
         assert np.array_equal(result.pcs, base.pcs)
         assert np.array_equal(result.executions, base.executions)
         assert np.array_equal(result.mispredictions, base.mispredictions)
 
-    @pytest.mark.parametrize("backend", available_backends())
     def test_simulate_stream_routes_to_kernels(self, backend):
         spec = FAMILY_SPECS["yags"]
         base = simulate(spec, TRACE, engine="reference")
-        result = simulate_stream(spec, chunks_of(TRACE, 997), backend=backend)
+        result = simulate_stream(spec, chunks_of(TRACE, 997))
         assert np.array_equal(result.mispredictions, base.mispredictions)
 
 
@@ -176,58 +175,56 @@ class TestBackendSelection:
         result = simulate(FAMILY_SPECS["dhlf"], TRACE)
         assert np.array_equal(result.mispredictions, base.mispredictions)
 
-    def test_supports_compiled(self):
-        assert supports_compiled(YagsSpec().build())
-        assert supports_compiled(BiModeSpec().build())
-        assert supports_compiled(DhlfSpec().build())
-        assert supports_compiled(FilterSpec().build())
-        assert not supports_compiled(StaticSpec().build())
-        assert not supports_compiled(TwoLevelSpec(history_bits=4).build())
-        assert compiled_stream(StaticSpec().build()) is None
+    def test_family_without_a_kernel_never_probes_the_c_build(self, monkeypatch):
+        # The kernel families are pinned by TestKernelBitIdentity; a
+        # filter has a kernel only over a two-level or bimodal backing.
+        def refuse():
+            raise AssertionError("a family without a kernel probed the C build")
+
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "auto")
+        monkeypatch.setattr(cext, "available", refuse)
+        for spec in (StaticSpec(), TwoLevelSpec(history_bits=4), FilterSpec(backing=YagsSpec())):
+            assert compiled_stream(spec.build()) is None
 
     def test_backends_tuple_is_the_cli_contract(self):
         assert BACKENDS == ("auto", "python", "cext")
 
 
 class TestSessionAndCliPlumbing:
-    def test_session_backend_forwarded(self):
-        base = simulate(FAMILY_SPECS["bimode"], TRACE, engine="reference")
-        session = Session(backend="python")
-        result = session.simulate(TRACE, FAMILY_SPECS["bimode"])
-        assert np.array_equal(result.mispredictions, base.mispredictions)
-
-    def test_session_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            Session(backend="fortran")
-
-    def test_cli_backend_flag(self, capsys):
-        from repro.cli import main
-
-        spec = '{"kind": "dhlf", "pht_index_bits": 8, "interval": 64}'
-        workload = '{"kind": "kernel", "name": "bubble_sort", "size": 32}'
-        code = main(
-            [
-                "simulate",
-                "--spec",
-                spec,
-                "--workload",
-                workload,
-                "--backend",
-                "python",
-            ]
-        )
-        assert code == 0
-        with_backend = capsys.readouterr().out
-        code = main(
-            ["simulate", "--spec", spec, "--workload", workload,
-             "--engine", "reference"]
-        )
-        assert code == 0
-        assert capsys.readouterr().out == with_backend
+    def test_no_entry_point_takes_a_backend(self, capsys):
+        # The backend is one process-level setting, REPRO_ENGINE_BACKEND.
+        spec = FAMILY_SPECS["bimode"]
+        gas = [TwoLevelSpec.gas(2).build()]
+        calls = [
+            lambda: simulate(spec, TRACE, backend="python"),
+            lambda: simulate_stream(spec, [TRACE], backend="python"),
+            lambda: stream_simulator(spec.build(), backend="python"),
+            lambda: simulate_batched(gas, TRACE, backend="python"),
+            lambda: simulate_batched_stream(gas, [TRACE], backend="python"),
+            lambda: BatchedStream(gas, backend="python"),
+            lambda: compiled_stream(spec.build(), "python"),
+            lambda: Session(backend="python"),
+            lambda: ExperimentContext(scale=0.05, cache_dir=None).session(backend="python"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "simulate",
+                    "--spec",
+                    '{"kind": "dhlf", "pht_index_bits": 8, "interval": 64}',
+                    "--workload",
+                    '{"kind": "kernel", "name": "bubble_sort", "size": 32}',
+                    "--backend",
+                    "python",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_cli_backends_command(self, capsys):
-        from repro.cli import main
-
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "python" in out and "available" in out
@@ -235,9 +232,14 @@ class TestSessionAndCliPlumbing:
         assert rows[:3] == ["python", "cext", "auto"]
         assert "numba" not in out
 
-    def test_cli_simulate_has_no_workers_flag(self, capsys):
-        from repro.cli import main
+    def test_cli_backends_command_resolves_the_setting(self, backend, capsys, monkeypatch):
+        assert main(["backends"]) == 0
+        assert f"REPRO_ENGINE_BACKEND={backend} -> {backend}" in capsys.readouterr().out
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "fortran")
+        assert main(["backends"]) == 1
+        assert "unknown backend 'fortran'" in capsys.readouterr().err
 
+    def test_cli_simulate_has_no_workers_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -273,9 +275,9 @@ def cext_call(name):
     ``cext`` carrier for the named C kernel."""
     if name == "sweep_step":
         predictors = [spec.build() for spec in KERNEL_SPECS[name]]
-        kernel = BatchedStream(predictors, backend="cext")._kernel
+        kernel = BatchedStream(predictors)._kernel
         return kernel.step, kernel.regs, kernel.params, (kernel.pht, kernel.bht), 2
-    stream = compiled_stream(KERNEL_SPECS[name].build(), "cext")
+    stream = compiled_stream(KERNEL_SPECS[name].build())
     return stream.kernel, stream.regs, stream.params, stream.state, 1
 
 
@@ -344,7 +346,8 @@ def count_arrays(case, configs, n=64, width=16):
     return pcs, outcomes, ids, misses
 
 
-@pytest.mark.skipif(not CEXT_USABLE, reason="no C compiler on this host")
+@pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize("backend", ["cext"], indirect=True)
 class TestCtypesBoundary:
     """A bad array raises ConfigurationError and never reaches C."""
 
@@ -407,7 +410,7 @@ class TestCtypesBoundary:
     @staticmethod
     def sweep_kernel():
         predictors = [spec.build() for spec in KERNEL_SPECS["sweep_step"]]
-        return BatchedStream(predictors, backend="cext")._kernel
+        return BatchedStream(predictors)._kernel
 
     def test_counting_entry_counts_the_misses_of_the_predictions(self):
         counting, stepping = self.sweep_kernel(), self.sweep_kernel()
@@ -490,4 +493,5 @@ class TestBuildCache:
         assert resolve_backend("auto") == "python"
         with pytest.raises(ConfigurationError, match="unavailable"):
             resolve_backend("cext")
-        assert BatchedStream([TwoLevelSpec.gas(2).build()], backend="auto").backend == "python"
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "auto")
+        assert BatchedStream([TwoLevelSpec.gas(2).build()]).backend == "python"

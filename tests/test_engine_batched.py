@@ -5,6 +5,7 @@ engine for every configuration in the batch, across stack sizes, chunk
 splits, geometry mixes and deduplicated configurations.
 """
 
+import os
 import weakref
 from unittest import mock
 
@@ -43,11 +44,6 @@ from repro.predictors import (
 )
 from repro.predictors.paper_configs import HISTORY_LENGTHS
 from repro.trace import Trace, concat
-
-
-#: The two-level carrier's paths on this host: numpy scans and, with a
-#: C compiler, the sweep kernel.
-BACKENDS = [name for name, (usable, _) in backend_availability().items() if usable]
 
 
 def random_trace(seed, n, num_pcs, bias=0.5):
@@ -90,11 +86,10 @@ def reference_predictions(predictor, trace):
 
 
 class TestPredictionsBatched:
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_reference_per_config(self, backend):
         trace = random_trace(1, 3000, 40)
         predictors = mixed_predictors()
-        batched = BatchedStream(predictors, backend=backend).feed(trace.pcs, trace.outcomes)
+        batched = BatchedStream(predictors).feed(trace.pcs, trace.outcomes)
         for predictor, predictions in zip(predictors, batched):
             assert np.array_equal(predictions, reference_predictions(predictor, trace))
 
@@ -107,11 +102,10 @@ class TestPredictionsBatched:
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_configs_share_one_simulation(self, backend):
         trace = random_trace(3, 1500, 20)
         predictors = [paper_predictor("pas", 0), paper_predictor("gas", 0)]
-        a, b = BatchedStream(predictors, backend=backend).feed(trace.pcs, trace.outcomes)
+        a, b = BatchedStream(predictors).feed(trace.pcs, trace.outcomes)
         # PAs-h0 and GAs-h0 are the same machine; the engine dedupes
         # them into one simulation, and both views must agree.
         assert a is b
@@ -253,10 +247,15 @@ def test_batched_sweep_property(specs, seed, n, num_pcs, chunk, split, cuts, lat
     predictors = [paper_predictor(kind, k) for kind in ("pas", "gas") for k in (0, 1, 3, 8)]
     predictors += [spec.build() for spec in specs]
     expected = [simulate_reference(predictor, trace) for predictor in predictors]
-    for backend in BACKENDS:
+    for backend, (usable, _) in backend_availability().items():
+        if not usable:
+            continue
         chunks = (trace[start:end] for start, end in zip(bounds, bounds[1:]))
-        with mock.patch.object(batched_engine, "MAX_CHUNK_ELEMENTS", chunk):
-            results = simulate_batched_stream(predictors, chunks, backend=backend)
+        with (
+            mock.patch.dict(os.environ, {"REPRO_ENGINE_BACKEND": backend}),
+            mock.patch.object(batched_engine, "MAX_CHUNK_ELEMENTS", chunk),
+        ):
+            results = simulate_batched_stream(predictors, chunks)
         for want, result in zip(expected, results):
             assert np.array_equal(result.pcs, want.pcs)
             assert np.array_equal(result.executions, want.executions)
@@ -338,12 +337,13 @@ class TestCarriedTable:
         assert list(table[np.array([0, 2])]) == [3, 7]
         assert builds == [1]
 
-    def test_one_chunk_never_builds_the_pht(self):
+    @pytest.mark.parametrize("backend", ["python"], indirect=True)
+    def test_one_chunk_never_builds_the_pht(self, backend):
         # An in-memory simulation is one chunk: it must not allocate a
         # table sized for every PHT entry of every configuration.
         trace = random_trace(15, 500, 20)
         predictors = [paper_predictor(kind, 12) for kind in ("pas", "gas")]
-        stream = BatchedStream(predictors, backend="python")
+        stream = BatchedStream(predictors)
         stream.feed(trace.pcs, trace.outcomes)
         assert stream._pht._table is None
         stream.feed(trace.pcs, trace.outcomes)
@@ -361,21 +361,19 @@ class TestBackendPaths:
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "auto")
         stream.feed(trace.pcs, trace.outcomes)
         assert stream.backend == "python" and stream._kernel is None
-        # An explicit argument beats the environment.
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "cext")
-        assert BatchedStream([], backend="python").backend == "python"
 
-    @pytest.mark.skipif("cext" not in BACKENDS, reason="no C compiler on this host")
-    def test_auto_takes_the_kernel(self):
-        assert BatchedStream([paper_predictor("pas", 4)], backend="auto").backend == "cext"
+    def test_auto_takes_the_kernel_when_there_is_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "auto")
+        expected = "cext" if backend_availability()["cext"][0] else "python"
+        assert BatchedStream([paper_predictor("pas", 4)]).backend == expected
 
-    @pytest.mark.skipif("cext" not in BACKENDS, reason="no C compiler on this host")
-    def test_kernel_state_dies_with_the_carrier(self):
+    @pytest.mark.parametrize("backend", ["cext"], indirect=True)
+    def test_kernel_state_dies_with_the_carrier(self, backend):
         # No reference cycle keeps the dense tables alive: dropping the
         # last reference frees them without a garbage-collector pass.
         trace = random_trace(18, 300, 20)
         stream = BatchedStream(
-            [paper_predictor(kind, k) for kind in ("pas", "gas") for k in (0, 5)], backend="cext"
+            [paper_predictor(kind, k) for kind in ("pas", "gas") for k in (0, 5)]
         )
         stream.feed(trace.pcs, trace.outcomes)
         kernel = stream._kernel
@@ -402,7 +400,6 @@ def assert_matches_reference(specs, results, trace):
         assert np.array_equal(result.mispredictions, expected.mispredictions)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchedStreamSplits:
     """The carrier resumes every configuration at any chunk boundary:
     one-record chunks, odd splits and the whole trace as one chunk, on
@@ -415,14 +412,13 @@ class TestBatchedStreamSplits:
         results = simulate_batched_stream(
             [spec.build() for spec in SWEEP_SPECS],
             chunks_of(self.TRACE, chunk_len),
-            backend=backend,
         )
         assert_matches_reference(SWEEP_SPECS, results, self.TRACE)
 
     def test_small_budget_splits_the_stack_within_chunks(self, backend, monkeypatch):
         monkeypatch.setattr(batched_engine, "MAX_CHUNK_ELEMENTS", 1 << 11)
         results = simulate_batched_stream(
-            [spec.build() for spec in SWEEP_SPECS], chunks_of(self.TRACE, 997), backend=backend
+            [spec.build() for spec in SWEEP_SPECS], chunks_of(self.TRACE, 997)
         )
         assert_matches_reference(SWEEP_SPECS, results, self.TRACE)
 
@@ -431,7 +427,7 @@ class TestBatchedStreamSplits:
         # 4-bit counters take the arithmetic scan, not the tabled one.
         specs = [TwoLevelSpec(history_bits=4, counter_bits=4)]
         results = simulate_batched_stream(
-            [spec.build() for spec in specs], chunks_of(self.TRACE, chunk_len), backend=backend
+            [spec.build() for spec in specs], chunks_of(self.TRACE, chunk_len)
         )
         assert_matches_reference(specs, results, self.TRACE)
 
@@ -442,15 +438,15 @@ class TestBatchedStreamSplits:
         trace = concat([self.TRACE[:0], Trace(np.full(9, 0x1000), np.ones(9)), self.TRACE, late])
         chunks = [trace[:0], trace[:9], trace[9:1009], trace[1009:-40], trace[-40:]]
         specs = [*SWEEP_SPECS, TwoLevelSpec(history_bits=4, counter_bits=4)]
-        results = simulate_batched_stream([spec.build() for spec in specs], chunks, backend=backend)
+        results = simulate_batched_stream([spec.build() for spec in specs], chunks)
         assert_matches_reference(specs, results, trace)
 
     def test_counted_misses_match_the_predictions(self, backend):
         # The counts the carrier returns are the misses of the very
         # predictions it would have returned, chunk after chunk.
         predictors = [spec.build() for spec in SWEEP_SPECS]
-        counting = BatchedStream(predictors, backend=backend)
-        stepping = BatchedStream(predictors, backend=backend)
+        counting = BatchedStream(predictors)
+        stepping = BatchedStream(predictors)
         for chunk in chunks_of(self.TRACE, 997):
             branches, ids = np.unique(chunk.pcs, return_inverse=True)
             misses = counting.misses(chunk.pcs, chunk.outcomes, ids, len(branches))
@@ -461,12 +457,10 @@ class TestBatchedStreamSplits:
         assert empty.shape == (len(predictors), 3) and not empty.any()
 
     def test_empty_stream(self, backend):
-        results = simulate_batched_stream(
-            [spec.build() for spec in SWEEP_SPECS], iter(()), backend=backend
-        )
+        results = simulate_batched_stream([spec.build() for spec in SWEEP_SPECS], iter(()))
         assert [r.predictor_name for r in results] == [s.build().name for s in SWEEP_SPECS]
         assert all(r.total_executions == 0 and len(r.pcs) == 0 for r in results)
 
     def test_sweep_without_configurations(self, backend):
-        results = simulate_batched_stream([], chunks_of(self.TRACE, 997), backend=backend)
+        results = simulate_batched_stream([], chunks_of(self.TRACE, 997))
         assert results == []

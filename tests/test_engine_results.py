@@ -11,7 +11,6 @@ from repro.engine import (
     simulate_reference,
     simulate_stream,
 )
-from repro.engine.backend import backend_availability
 from repro.engine.results import _attribute_chunks, count_misses
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors import (
@@ -24,9 +23,6 @@ from repro.predictors import (
 )
 from repro.spec import YagsSpec
 from repro.trace import Trace
-
-#: The backends this host can run.
-BACKENDS = [name for name, (usable, _) in backend_availability().items() if usable]
 
 #: ``(pcs, outcomes)`` chunks a trace would refuse.
 BAD_PAIRS = {
@@ -222,15 +218,14 @@ class TestAttributeChunks:
 
     @pytest.mark.parametrize("defect", sorted(BAD_PAIRS))
     @pytest.mark.parametrize("carrier", ("batched", "yags-stream"))
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_pair_chunks_are_validated_like_traces(self, backend, carrier, defect):
         pcs, outcomes = (np.asarray(column) for column in BAD_PAIRS[defect])
         chunks = [(np.array([4, 8]), np.array([1, 0])), (pcs, outcomes)]
         with pytest.raises(TraceError):
             if carrier == "batched":
-                simulate_batched_stream([make_gas(2), make_gas(0)], chunks, backend=backend)
+                simulate_batched_stream([make_gas(2), make_gas(0)], chunks)
             else:
-                simulate_stream(YagsSpec(), chunks, backend=backend)
+                simulate_stream(YagsSpec(), chunks)
 
     def test_pair_chunks_stay_writeable(self):
         pcs, outcomes = np.array([4, 8, 4]), np.array([1, 0, 1], dtype=np.uint8)

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -36,10 +37,6 @@ GARBAGE = FIXTURES / "garbage.txt"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CEXT_USABLE = backend_availability()["cext"][0]
-
-#: The ingest routes this host can run: the per-line parser, and the C
-#: scanner where a compiler is found.
-ROUTES = ["python"] + (["cext"] if CEXT_USABLE else [])
 
 #: One brstack entry, as the fixtures print them.
 ENTRY_RE = re.compile(r"0x([0-9a-f]+)/0x[0-9a-f]+/([A-Z]+)/")
@@ -296,13 +293,6 @@ def records(trace):
     return list(zip(trace.pcs.tolist(), trace.outcomes.tolist()))
 
 
-@pytest.fixture(params=ROUTES)
-def route(request, monkeypatch):
-    """Run the test on each ingest route this host has."""
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", request.param)
-    return request.param
-
-
 class TestKernelAddresses:
     """A FROM address past int64 is a counted skip, not a crash."""
 
@@ -313,7 +303,7 @@ class TestKernelAddresses:
         "prog 4242 [000] 1.2: 1 branches:uk: ffffffff81000000 => 401000\n"
     )
 
-    def test_user_entries_kept_kernel_entries_skipped(self, tmp_path, route):
+    def test_user_entries_kept_kernel_entries_skipped(self, tmp_path, backend):
         src = tmp_path / "uk.txt"
         src.write_text(self.MIXED)
         trace, report = parse_perf_trace(src)
@@ -322,7 +312,7 @@ class TestKernelAddresses:
         assert report.reasons == {"pc-out-of-range": 3, "empty-after-entry-skips": 2}
         assert (report.lines, report.matched_lines, report.skipped_lines) == (3, 1, 2)
 
-    def test_cli_exits_zero_and_reports_the_skip(self, tmp_path, route, capsys):
+    def test_cli_exits_zero_and_reports_the_skip(self, tmp_path, backend, capsys):
         src = tmp_path / "uk.txt"
         src.write_text(self.MIXED)
         assert main(["ingest", "perf", str(src), "-o", str(tmp_path / "uk.rbt"), "--json"]) == 0
@@ -335,7 +325,7 @@ class TestBrstackTargets:
     """Only FLAGS decide a brstack entry's outcome; its TO is never read
     as a target.  Only the ``FROM => TO`` form has null targets."""
 
-    def test_brstack_to_is_not_an_outcome(self, tmp_path, route):
+    def test_brstack_to_is_not_an_outcome(self, tmp_path, backend):
         src = tmp_path / "to.txt"
         src.write_text(
             "p 1 [0] 1.0: 1 branches: 0x401000/-/P/-/-/0 0x401004/0x0/P/-/-/0\n"
@@ -345,7 +335,7 @@ class TestBrstackTargets:
         assert records(trace) == [(0x401000, 1), (0x401004, 1), (0x40100C, 0)]
         assert report.reasons == {"malformed-entry": 1}
 
-    def test_arrow_null_targets_are_not_taken(self, tmp_path, route):
+    def test_arrow_null_targets_are_not_taken(self, tmp_path, backend):
         src = tmp_path / "arrow.txt"
         src.write_text("401000 => -\n401004 => 0\n401008 => 0x0\n40100c => 0x401000\n")
         trace, _ = parse_perf_trace(src)
@@ -566,3 +556,29 @@ class TestRoutesAgree:
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "python")
         trace, _ = parse_perf_trace(CLEAN)
         assert records(trace) == oracle_records(CLEAN)
+
+
+class TestBlockReader:
+    def test_a_line_across_many_reads_costs_linear_time(self):
+        # 64 reads of 1 MiB without a newline.  Growing the unfinished
+        # line with ``+=`` and searching all of it after every read
+        # copied and searched ~2 GiB: 1.5 s on a 2-vCPU Xeon, where
+        # holding the reads in a list and joining them once takes 0.04 s.
+        from repro.ingest import perf
+
+        block = b"x" * perf._READ_BLOCK
+
+        class Reads:
+            left = 64
+
+            def read(self, size):
+                if not self.left:
+                    return b""
+                self.left -= 1
+                return block
+
+        start = time.perf_counter()
+        blocks = list(PerfParser("unread.txt")._blocks(Reads(), mock.Mock()))
+        elapsed = time.perf_counter() - start
+        assert [len(b) for b in blocks] == [64 * len(block)]
+        assert elapsed < 0.3, f"{elapsed:.2f} s for one 64 MiB line"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import backend_availability, simulate, simulate_reference
+from repro.engine import simulate, simulate_reference
 from repro.errors import ConfigurationError, PredictorError
 from repro.predictors import (
     BUDGET_BYTES,
@@ -69,16 +69,14 @@ class TestHistoryBound:
             TwoLevelPredictor(**self.geometry(history_kind, history_bits))
 
     @pytest.mark.parametrize("history_kind", ["global", "per-address"])
-    def test_32_bits_run_alike_on_every_path(self, history_kind):
+    def test_32_bits_run_alike_on_every_path(self, backend, history_kind):
         rng = np.random.default_rng(32)
         pcs = rng.integers(0, 50, 2000) * 4 + 0x1000
         trace = Trace(pcs, (rng.random(2000) < 0.7).astype(np.uint8), name="h32")
         spec = TwoLevelSpec(**self.geometry(history_kind, 32))
         expected = simulate_reference(spec.build(), trace)
-        for backend, (usable, _) in backend_availability().items():
-            if usable:
-                result = simulate(spec, trace, backend=backend)
-                assert np.array_equal(result.mispredictions, expected.mispredictions)
+        result = simulate(spec, trace)
+        assert np.array_equal(result.mispredictions, expected.mispredictions)
 
 
 class TestIndexArithmetic:

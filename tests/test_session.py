@@ -176,29 +176,29 @@ class TestExecution:
         assert np.array_equal(result.mispredictions, expected.mispredictions)
 
     @pytest.mark.parametrize("spec", [YagsSpec(), DhlfSpec(pht_index_bits=7, interval=64)])
-    def test_session_backend_reaches_the_compiled_kernels(self, monkeypatch, spec):
+    def test_session_reaches_the_compiled_kernels(self, monkeypatch, backend, spec):
         # Regression: auto-routed per-record families used to run the
-        # stateful predictor, so Session(backend=...) had no effect.
+        # stateful predictor, so the backend had no effect on them.
         from repro.engine import streaming
 
-        requested = []
+        built = []
         compiled_stream = streaming.compiled_stream
 
-        def spy(predictor, backend=None):
-            requested.append(backend)
-            return compiled_stream(predictor, backend)
+        def spy(predictor):
+            built.append(compiled_stream(predictor))
+            return built[-1]
 
         monkeypatch.setattr(streaming, "compiled_stream", spy)
         trace = random_trace(n=300)
-        result = Session(backend="python").simulate(trace, spec)
-        assert requested == ["python"]
+        result = Session().simulate(trace, spec)
+        assert [stream is not None for stream in built] == [backend == "cext"]
         expected = simulate_reference(spec.build(), trace)
         assert np.array_equal(result.mispredictions, expected.mispredictions)
 
     def test_explicit_reference_still_runs_the_oracle(self, monkeypatch):
         from repro.engine import streaming
 
-        def refuse(predictor, backend=None):
+        def refuse(predictor):
             raise AssertionError("the oracle must not take a compiled kernel")
 
         monkeypatch.setattr(streaming, "compiled_stream", refuse)

@@ -1,7 +1,10 @@
 """Tests for the chunked RBT v2 format, TraceReader and write_chunks."""
 
 import io
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from repro.trace import (
     write_chunks,
 )
 from repro.trace.io import _HEADER, MAGIC
+from repro.workload_spec import TraceFileSpec
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def make_trace(n, seed=0, pcs_range=200, name="t"):
@@ -291,3 +297,62 @@ class TestWriteChunks:
             raw = path.read_bytes()
             payload = raw[entry.offset : entry.offset + entry.pcs_bytes]
             assert len(zlib.decompress(payload)) == entry.count * 8
+
+    def test_a_failed_write_leaves_the_destination_as_it_was(self, tmp_path):
+        path = tmp_path / "t.rbt"
+        save_trace(make_trace(100), path)
+        before = path.read_bytes()
+
+        def failing():
+            yield make_trace(50)
+            raise RuntimeError("the source failed")
+
+        with pytest.raises(RuntimeError, match="the source failed"):
+            write_chunks(failing(), path)
+        with pytest.raises(TraceFormatError, match="version 3"):
+            save_trace(make_trace(10), path, version=3)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["t.rbt"]
+
+
+class TestLoadedTracesOwnTheirArrays:
+    """A loaded trace does not share memory with its file, so rewriting
+    or truncating the file leaves the trace as it was."""
+
+    TRACE = Trace(np.arange(1000) * 4, np.arange(1000) % 2, name="own")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rewriting_the_file_in_place(self, tmp_path, version):
+        path = tmp_path / "t.rbt"
+        save_trace(self.TRACE, path, version=version)
+        doubled = io.BytesIO()
+        twice = Trace(self.TRACE.pcs * 2, self.TRACE.outcomes, name="own")
+        write_binary(twice, doubled, version=version)
+        with TraceReader(path) as reader:
+            loaded = [reader.read(), load_trace(path), TraceFileSpec(path=str(path)).materialize()]
+        # The same size, written over the same file.
+        with open(path, "r+b") as fp:
+            fp.write(doubled.getvalue())
+        assert path.stat().st_size == len(doubled.getvalue())
+        assert all(trace == self.TRACE for trace in loaded)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_truncating_the_file(self, tmp_path, version):
+        # A trace that still mapped its file died of SIGBUS here, so the
+        # reads run in a child process.
+        path = tmp_path / "t.rbt"
+        save_trace(self.TRACE, path, version=version)
+        script = (
+            f"import os, sys; sys.path.insert(0, {SRC!r})\n"
+            "from repro.trace import TraceReader, load_trace\n"
+            f"path = {str(path)!r}\n"
+            "with TraceReader(path) as reader:\n"
+            "    traces = [reader.read(), load_trace(path)]\n"
+            "os.truncate(path, 0)\n"
+            "print(*[int(trace.pcs.sum()) for trace in traces])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, (result.returncode, result.stderr)
+        assert result.stdout.split() == ["1998000", "1998000"]
