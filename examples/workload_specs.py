@@ -22,7 +22,7 @@ from repro import (
     Spec95InputSpec,
     SuiteSpec,
     TwoLevelSpec,
-    workload_spec_from_json,
+    WorkloadSpec,
 )
 from repro.workload_spec import LoopModelSpec, MarkovModelSpec
 
@@ -54,7 +54,7 @@ print(f"content key: {suite.content_key()[:16]}…  (stable across processes)")
 
 # Specs round-trip through JSON, so suites can live in files and flags:
 #   python -m repro run all --suite mixed-demo.json
-assert workload_spec_from_json(suite.to_json()) == suite
+assert WorkloadSpec.from_json(suite.to_json()) == suite
 
 # -- 2. sessions dedupe jobs by workload content ------------------------------
 

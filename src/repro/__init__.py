@@ -100,6 +100,7 @@ from .predictors import (
 )
 from .predictors.paper_configs import paper_gas_spec, paper_pas_spec, paper_spec
 from .spec import (
+    PREDICTORS,
     AgreeSpec,
     BiModeSpec,
     BimodalSpec,
@@ -114,11 +115,9 @@ from .spec import (
     TwoLevelSpec,
     YagsSpec,
     build_predictor,
-    spec_from_dict,
-    spec_from_json,
-    spec_kinds,
 )
 from .workload_spec import (
+    WORKLOADS,
     ConcatSpec,
     GenKernelSpec,
     KernelSpec,
@@ -134,9 +133,6 @@ from .workload_spec import (
     load_suite,
     named_suite,
     spec95_suite,
-    workload_spec_from_dict,
-    workload_spec_from_json,
-    workload_spec_kinds,
 )
 from .session import Session, SessionPlan, SessionResults, SimulationJob
 from .engine import (
@@ -236,9 +232,7 @@ __all__ = [
     "BiModeSpec",
     "FilterSpec",
     "DhlfSpec",
-    "spec_kinds",
-    "spec_from_dict",
-    "spec_from_json",
+    "PREDICTORS",
     "build_predictor",
     "paper_gas_spec",
     "paper_pas_spec",
@@ -256,9 +250,7 @@ __all__ = [
     "TraceFileSpec",
     "ConcatSpec",
     "SuiteSpec",
-    "workload_spec_kinds",
-    "workload_spec_from_dict",
-    "workload_spec_from_json",
+    "WORKLOADS",
     "spec95_suite",
     "kernel_suite",
     "adversarial_suite",

@@ -116,9 +116,9 @@ class SpecRegisteredRule(Rule):
     scope = ("spec.py", "workload_spec.py")
     description = (
         "a concrete `*Spec` dataclass declaring a `kind` must carry its "
-        "registry decorator (`@_register`/`@_register_model`/...); an "
-        "unregistered kind serializes fine but `from_dict` cannot ever "
-        "round-trip it back"
+        "registry decorator (`@PREDICTORS.register`, `@WORKLOADS.register`, "
+        "`@MODELS.register`, or a `_register` function); an unregistered "
+        "kind serializes fine but `from_dict` cannot ever round-trip it back"
     )
 
     def check(self, ctx: FileContext) -> list[Finding]:

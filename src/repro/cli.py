@@ -62,17 +62,17 @@ from .errors import ConfigurationError, LockTimeout, ReproError
 from .experiments import ExperimentContext, all_experiment_ids, get_experiment
 from .pipeline import RetryPolicy
 from .session import ENGINES
-from .spec import PredictorSpec, spec_class, spec_from_json, spec_kinds
+from .spec import PREDICTORS, PredictorSpec
+from .specbase import Registry
 from .workload_spec import (
+    MODELS,
     NAMED_SUITES,
+    WORKLOADS,
     GenKernelSpec,
     SuiteSpec,
     load_suite,
-    model_spec_kinds,
     named_suite,
     resolve_workload,
-    workload_spec_class,
-    workload_spec_kinds,
 )
 from .workloads.generator import PATTERNS as GEN_PATTERNS
 
@@ -593,7 +593,7 @@ def _load_spec(text: str) -> PredictorSpec:
     """Parse ``--spec``: inline JSON if it looks like an object, else a file."""
     candidate = text.strip()
     if candidate.startswith("{"):
-        return spec_from_json(candidate)
+        return PredictorSpec.from_json(candidate)
     path = Path(candidate)
     if not path.exists():
         raise ConfigurationError(
@@ -603,7 +603,7 @@ def _load_spec(text: str) -> PredictorSpec:
         text = path.read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read spec file {candidate!r}: {exc}") from None
-    return spec_from_json(text)
+    return PredictorSpec.from_json(text)
 
 
 def _experiment_ids(selector: str) -> list[str]:
@@ -725,9 +725,9 @@ def _run_artifacts(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_specs() -> int:
-    for kind in spec_kinds():
-        cls = spec_class(kind)
+def _print_kinds(registry: Registry) -> None:
+    """Each kind of ``registry`` with its fields and their defaults."""
+    for kind, cls in registry.items():
         print(f"{kind}:")
         for f in dataclasses.fields(cls):
             if f.default is not dataclasses.MISSING:
@@ -737,24 +737,13 @@ def _run_specs() -> int:
             else:
                 default = "<required>"
             print(f"  {f.name} (default {default!r})")
-    return 0
 
 
 def _run_workloads() -> int:
     print("workload spec kinds:")
-    for kind in workload_spec_kinds():
-        cls = workload_spec_class(kind)
-        print(f"{kind}:")
-        for f in dataclasses.fields(cls):
-            if f.default is not dataclasses.MISSING:
-                default = f.default
-            elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                default = f.default_factory()  # type: ignore[misc]
-            else:
-                default = "<required>"
-            print(f"  {f.name} (default {default!r})")
+    _print_kinds(WORKLOADS)
     print()
-    print(f"branch model kinds (population branches): {', '.join(model_spec_kinds())}")
+    print(f"branch model kinds (population branches): {', '.join(MODELS.kinds())}")
     print()
     print("named suites (--suite / --workload):")
     for name in sorted(NAMED_SUITES):
@@ -1280,7 +1269,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.command == "specs":
-            return _run_specs()
+            _print_kinds(PREDICTORS)
+            return 0
 
         if args.command == "workloads":
             return _run_workloads()

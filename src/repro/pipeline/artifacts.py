@@ -50,6 +50,7 @@ from ..classify.profile import ProfileTable
 from ..errors import ConfigurationError, PipelineError
 from ..predictors.paper_configs import HISTORY_LENGTHS
 from ..session import ENGINES, Session
+from ..specbase import canonical_digest
 from ..trace.filters import merge_suite
 from ..trace.stats import TraceStats
 from ..trace.stream import Trace
@@ -148,14 +149,14 @@ class PipelineConfig:
 
 def node_digest(node: "ArtifactNode", config: PipelineConfig, dep_digests: list[str]) -> str:
     """Content address: producing-spec hash chained through upstream hashes."""
-    payload = {
-        "v": STORE_VERSION,
-        "kind": node.kind,
-        "params": node.params(config),
-        "deps": dep_digests,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(
+        {
+            "v": STORE_VERSION,
+            "kind": node.kind,
+            "params": node.params(config),
+            "deps": dep_digests,
+        }
+    )
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ free and always allowed; only genuinely new work can be rejected with
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from collections.abc import Mapping
@@ -37,7 +35,8 @@ from ..errors import ConfigurationError, JobNotFound, QueueFull
 from ..pipeline import PipelineConfig
 from ..pipeline.planner import Planner
 from ..predictors.paper_configs import HISTORY_LENGTHS
-from ..workload_spec import SuiteSpec, load_suite, workload_spec_from_dict
+from ..specbase import canonical_digest
+from ..workload_spec import SuiteSpec, WorkloadSpec, load_suite
 
 __all__ = ["Job", "JobRegistry", "JobSpec", "JobState"]
 
@@ -83,7 +82,7 @@ def _coerce_suite(data: Mapping[str, Any], scale: float) -> SuiteSpec | None:
     if isinstance(raw, str):
         return load_suite(raw, scale=scale)
     if isinstance(raw, Mapping):
-        spec = workload_spec_from_dict(raw)
+        spec = WorkloadSpec.from_dict(raw)
         if isinstance(spec, SuiteSpec):
             return spec
         return SuiteSpec(name=spec.label, members=(spec,))
@@ -181,8 +180,7 @@ class JobSpec:
             "scale": self.scale,
             "history_lengths": list(self.history_lengths),
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return canonical_digest(payload)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -18,8 +18,10 @@ Why a separate layer (see ``docs/API.md`` for the full schema):
 * **Inspectable** — planners can read a spec's geometry (and route the
   two-level family to the batched engine) without building anything.
 
-The registry maps each spec's ``kind`` string to its class;
-:func:`spec_from_dict` dispatches on that key.  Specs deliberately
+:data:`PREDICTORS` maps each spec's ``kind`` string to its class, and
+``PredictorSpec.from_dict``/``from_json`` dispatch on that key (the
+serde, field coercion and registry live in :mod:`repro.specbase`,
+shared with the workload specs).  Specs deliberately
 import no predictor modules at import time, so the predictor package
 can itself emit specs (``repro.predictors.paper_configs``) without an
 import cycle.
@@ -28,14 +30,22 @@ import cycle.
 from __future__ import annotations
 
 import dataclasses
-import json
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
 
 from .errors import ConfigurationError
+from .specbase import (
+    Registry,
+    Spec,
+    coerce_bool,
+    coerce_int,
+    coerce_specs,
+    coerce_tuple,
+    require_min,
+)
 
 __all__ = [
+    "PREDICTORS",
     "PredictorSpec",
     "StaticSpec",
     "ProfileStaticSpec",
@@ -49,14 +59,12 @@ __all__ = [
     "BiModeSpec",
     "FilterSpec",
     "DhlfSpec",
-    "spec_kinds",
-    "spec_class",
-    "spec_from_dict",
-    "spec_from_json",
     "build_predictor",
 ]
 
-_REGISTRY: dict[str, type["PredictorSpec"]] = {}
+#: Every predictor kind.  Its own namespace: ``filter`` is also a
+#: workload kind (:data:`repro.workload_spec.WORKLOADS`).
+PREDICTORS = Registry("predictor")
 
 #: Longest two-level history register.  The reference BHT rows are
 #: uint32, and the compiled sweep kernel's int64 index arithmetic
@@ -64,47 +72,26 @@ _REGISTRY: dict[str, type["PredictorSpec"]] = {}
 MAX_HISTORY_BITS = 32
 
 
-def _register(cls: type["PredictorSpec"]) -> type["PredictorSpec"]:
-    """Class decorator: enter ``cls`` into the kind-keyed registry."""
-    kind = cls.kind
-    if not kind or kind in _REGISTRY:
-        raise ConfigurationError(f"duplicate or empty spec kind {kind!r}")
-    _REGISTRY[kind] = cls
-    return cls
-
-
-def _duplicate_keys(pairs: tuple) -> list:
-    """Keys appearing more than once in a sorted ``(key, value)`` tuple."""
-    return sorted({a[0] for a, b in zip(pairs, pairs[1:]) if a[0] == b[0]})
+def _pairs(value: Any, what: str, second: Callable[[Any, str], Any]) -> tuple:
+    """A sorted tuple of ``(pc, second(value))`` pairs, each PC once."""
+    try:
+        pairs = tuple(
+            sorted((coerce_int(pc, what), second(v, what)) for pc, v in coerce_tuple(value, what))
+        )
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} must be (pc, value) pairs, got {value!r}") from None
+    duplicates = sorted({a[0] for a, b in zip(pairs, pairs[1:]) if a[0] == b[0]})
+    if duplicates:
+        raise ConfigurationError(f"duplicate PCs in {what}: {duplicates} (one entry per branch)")
+    return pairs
 
 
 def _check_pow2(value: int, what: str) -> None:
-    if not isinstance(value, int):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     if value < 1 or value & (value - 1):
         raise ConfigurationError(f"{what} must be a positive power of two, got {value}")
 
 
-def _encode(value: Any) -> Any:
-    """Encode one field value into plain JSON-compatible data."""
-    if isinstance(value, PredictorSpec):
-        return value.to_dict()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(value: Any) -> Any:
-    """Inverse of :func:`_encode`: dicts with a ``kind`` become specs,
-    lists become tuples (JSON has no tuple type)."""
-    if isinstance(value, Mapping) and "kind" in value:
-        return spec_from_dict(value)
-    if isinstance(value, (list, tuple)):
-        return tuple(_decode(v) for v in value)
-    return value
-
-
-class PredictorSpec:
+class PredictorSpec(Spec):
     """Base class for declarative predictor configurations.
 
     Subclasses are frozen dataclasses registered under a unique
@@ -115,67 +102,11 @@ class PredictorSpec:
 
     __slots__ = ()
 
-    #: Registry key; also the ``"kind"`` entry of the serialized form.
-    kind: ClassVar[str] = ""
-
-    # -- construction -------------------------------------------------------
+    registry: ClassVar[Registry] = PREDICTORS
 
     def build(self):
         """Materialize the stateful :class:`BranchPredictor`."""
         raise NotImplementedError
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form: ``{"kind": …, **fields}`` (JSON-compatible)."""
-        data: dict[str, Any] = {"kind": self.kind}
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            data[f.name] = _encode(getattr(self, f.name))
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PredictorSpec":
-        """Rebuild a spec from its :meth:`to_dict` form.
-
-        Called on :class:`PredictorSpec` it dispatches through the
-        registry; called on a subclass it additionally checks the kind.
-        """
-        if cls is PredictorSpec:
-            return spec_from_dict(data)
-        kind = data.get("kind", cls.kind)
-        if kind != cls.kind:
-            raise ConfigurationError(
-                f"spec kind mismatch: expected {cls.kind!r}, got {kind!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
-        extra = set(data) - known - {"kind"}
-        if extra:
-            raise ConfigurationError(
-                f"unknown field(s) {sorted(extra)} for spec kind {cls.kind!r}"
-            )
-        kwargs = {k: _decode(v) for k, v in data.items() if k != "kind"}
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            # Wrong-typed field values (e.g. a JSON float where an int
-            # belongs) must surface as the library's error type — this
-            # is the JSON-facing boundary the CLI catches.
-            raise ConfigurationError(f"invalid {cls.kind!r} spec: {exc}") from None
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        """JSON text form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PredictorSpec":
-        """Rebuild a spec from :meth:`to_json` output."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid spec JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigurationError("spec JSON must be an object")
-        return cls.from_dict(data)
 
     # -- hardware cost ------------------------------------------------------
 
@@ -183,15 +114,11 @@ class PredictorSpec:
         """Hardware state of the built predictor, in bits."""
         return self.build().storage_bits()
 
-    def storage_bytes(self) -> float:
-        """Hardware state in bytes."""
-        return self.storage_bits() / 8
-
 
 # -- static family ------------------------------------------------------------
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class StaticSpec(PredictorSpec):
     """Always-taken (``direction=True``) or always-not-taken predictor."""
@@ -200,16 +127,13 @@ class StaticSpec(PredictorSpec):
 
     direction: bool = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "direction", bool(self.direction))
-
     def build(self):
         from .predictors.static import AlwaysNotTakenPredictor, AlwaysTakenPredictor
 
         return AlwaysTakenPredictor() if self.direction else AlwaysNotTakenPredictor()
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class ProfileStaticSpec(PredictorSpec):
     """Profile-guided static predictor: a fixed direction per branch PC.
@@ -223,22 +147,8 @@ class ProfileStaticSpec(PredictorSpec):
     directions: tuple[tuple[int, bool], ...] = ()
     default: bool = True
 
-    def __post_init__(self) -> None:
-        try:
-            normalized = tuple(
-                sorted((int(pc), bool(taken)) for pc, taken in self.directions)
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"directions must be (pc, taken) pairs: {exc}"
-            ) from None
-        duplicates = _duplicate_keys(normalized)
-        if duplicates:
-            raise ConfigurationError(
-                f"duplicate PCs in directions: {duplicates} (one direction per branch)"
-            )
-        object.__setattr__(self, "directions", normalized)
-        object.__setattr__(self, "default", bool(self.default))
+    def _validate(self) -> None:
+        object.__setattr__(self, "directions", _pairs(self.directions, "directions", coerce_bool))
 
     @classmethod
     def from_profile(cls, profile, *, default: bool = True) -> "ProfileStaticSpec":
@@ -258,7 +168,7 @@ class ProfileStaticSpec(PredictorSpec):
 # -- PC-indexed table family --------------------------------------------------
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class LastOutcomeSpec(PredictorSpec):
     """One-bit last-outcome predictor table."""
@@ -268,9 +178,8 @@ class LastOutcomeSpec(PredictorSpec):
     entries: int = 1 << 14
     initial: bool = True
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_pow2(self.entries, "entries")
-        object.__setattr__(self, "initial", bool(self.initial))
 
     def build(self):
         from .predictors.bimodal import LastOutcomePredictor
@@ -278,7 +187,7 @@ class LastOutcomeSpec(PredictorSpec):
         return LastOutcomePredictor(self.entries, initial=self.initial)
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class BimodalSpec(PredictorSpec):
     """PC-indexed saturating-counter table (the history-length-0 machine)."""
@@ -288,7 +197,7 @@ class BimodalSpec(PredictorSpec):
     entries: int = 1 << 17
     counter_bits: int = 2
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _check_pow2(self.entries, "entries")
         if not 1 <= self.counter_bits <= 8:
             raise ConfigurationError(
@@ -304,7 +213,7 @@ class BimodalSpec(PredictorSpec):
 # -- two-level family ---------------------------------------------------------
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class TwoLevelSpec(PredictorSpec):
     """Two-level adaptive predictor geometry (PAs/GAs/gshare/gselect/pshare).
@@ -326,7 +235,7 @@ class TwoLevelSpec(PredictorSpec):
     counter_bits: int = 2
     name: str | None = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.history_kind not in ("global", "per-address"):
             raise ConfigurationError(
                 f"history_kind must be 'global' or 'per-address', got {self.history_kind!r}"
@@ -339,8 +248,7 @@ class TwoLevelSpec(PredictorSpec):
             raise ConfigurationError(
                 f"history_bits must be in [0, {MAX_HISTORY_BITS}], got {self.history_bits}"
             )
-        if self.pht_index_bits < 1:
-            raise ConfigurationError("pht_index_bits must be >= 1")
+        require_min(self, 1, "pht_index_bits")
         if self.index_scheme == "concat" and self.history_bits > self.pht_index_bits:
             raise ConfigurationError(
                 f"concat indexing needs history_bits ({self.history_bits}) <= "
@@ -477,7 +385,7 @@ class TwoLevelSpec(PredictorSpec):
 # -- interference-aware global schemes ---------------------------------------
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class AgreeSpec(PredictorSpec):
     """Agree predictor: gshare-indexed PHT over per-branch biasing bits."""
@@ -488,11 +396,9 @@ class AgreeSpec(PredictorSpec):
     pht_index_bits: int = 12
     bias_entries: int = 1 << 14
 
-    def __post_init__(self) -> None:
-        if self.history_bits < 0:
-            raise ConfigurationError("history_bits must be >= 0")
-        if self.pht_index_bits < 1:
-            raise ConfigurationError("pht_index_bits must be >= 1")
+    def _validate(self) -> None:
+        require_min(self, 0, "history_bits")
+        require_min(self, 1, "pht_index_bits")
         _check_pow2(self.bias_entries, "bias_entries")
 
     def build(self):
@@ -505,7 +411,7 @@ class AgreeSpec(PredictorSpec):
         )
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class YagsSpec(PredictorSpec):
     """YAGS: choice PHT plus tagged exception caches."""
@@ -517,13 +423,9 @@ class YagsSpec(PredictorSpec):
     tag_bits: int = 8
     choice_index_bits: int = 13
 
-    def __post_init__(self) -> None:
-        if self.history_bits < 0:
-            raise ConfigurationError("history_bits must be >= 0")
-        if self.cache_index_bits < 1 or self.choice_index_bits < 1:
-            raise ConfigurationError("index bit widths must be >= 1")
-        if self.tag_bits < 1:
-            raise ConfigurationError("tag_bits must be >= 1")
+    def _validate(self) -> None:
+        require_min(self, 0, "history_bits")
+        require_min(self, 1, "cache_index_bits", "tag_bits", "choice_index_bits")
 
     def build(self):
         from .predictors.yags import YagsPredictor
@@ -536,7 +438,7 @@ class YagsSpec(PredictorSpec):
         )
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class BiModeSpec(PredictorSpec):
     """Bi-Mode: taken/not-taken direction banks plus a choice PHT."""
@@ -547,11 +449,9 @@ class BiModeSpec(PredictorSpec):
     direction_index_bits: int = 12
     choice_index_bits: int = 13
 
-    def __post_init__(self) -> None:
-        if self.history_bits < 0:
-            raise ConfigurationError("history_bits must be >= 0")
-        if self.direction_index_bits < 1 or self.choice_index_bits < 1:
-            raise ConfigurationError("index bit widths must be >= 1")
+    def _validate(self) -> None:
+        require_min(self, 0, "history_bits")
+        require_min(self, 1, "direction_index_bits", "choice_index_bits")
 
     def build(self):
         from .predictors.bimode import BiModePredictor
@@ -563,7 +463,7 @@ class BiModeSpec(PredictorSpec):
         )
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class FilterSpec(PredictorSpec):
     """Bias filter in front of a dynamic backing predictor.
@@ -579,10 +479,14 @@ class FilterSpec(PredictorSpec):
     counter_bits: int = 6
     entries: int = 1 << 14
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.backing is not None and not isinstance(self.backing, PredictorSpec):
             raise ConfigurationError("backing must be a PredictorSpec or None")
         _check_pow2(self.entries, "entries")
+        if not 1 <= self.counter_bits <= 16:
+            raise ConfigurationError(
+                f"counter_bits must be in [1, 16], got {self.counter_bits}"
+            )
         max_count = (1 << self.counter_bits) - 1
         if not 1 <= self.threshold <= max_count:
             raise ConfigurationError(
@@ -600,7 +504,7 @@ class FilterSpec(PredictorSpec):
         )
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class DhlfSpec(PredictorSpec):
     """Dynamic History-Length Fitting gshare."""
@@ -611,11 +515,9 @@ class DhlfSpec(PredictorSpec):
     interval: int = 16 * 1024
     start_history: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.pht_index_bits < 1:
-            raise ConfigurationError("pht_index_bits must be >= 1")
-        if self.interval < 16:
-            raise ConfigurationError("interval must be >= 16")
+    def _validate(self) -> None:
+        require_min(self, 1, "pht_index_bits")
+        require_min(self, 16, "interval")
         if self.start_history is not None and not 0 <= self.start_history <= self.pht_index_bits:
             raise ConfigurationError("start_history out of range")
 
@@ -632,7 +534,7 @@ class DhlfSpec(PredictorSpec):
 # -- combining families -------------------------------------------------------
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class TournamentSpec(PredictorSpec):
     """McFarling tournament of two component specs with a PC-indexed chooser."""
@@ -644,11 +546,10 @@ class TournamentSpec(PredictorSpec):
     chooser_index_bits: int = 13
     name: str | None = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.first, PredictorSpec) or not isinstance(self.second, PredictorSpec):
             raise ConfigurationError("tournament components must be PredictorSpecs")
-        if self.chooser_index_bits < 1:
-            raise ConfigurationError("chooser_index_bits must be >= 1")
+        require_min(self, 1, "chooser_index_bits")
 
     def build(self):
         from .predictors.tournament import TournamentPredictor
@@ -661,7 +562,7 @@ class TournamentSpec(PredictorSpec):
         )
 
 
-@_register
+@PREDICTORS.register
 @dataclass(frozen=True, slots=True)
 class HybridSpec(PredictorSpec):
     """Class-routed hybrid: component specs plus a frozen PC→slot routing.
@@ -677,25 +578,12 @@ class HybridSpec(PredictorSpec):
     routes: tuple[tuple[int, int], ...] = ()
     name: str | None = None
 
-    def __post_init__(self) -> None:
-        components = tuple(self.components)
-        if not components:
-            raise ConfigurationError("hybrid needs at least one component")
-        for component in components:
-            if not isinstance(component, PredictorSpec):
-                raise ConfigurationError("hybrid components must be PredictorSpecs")
-        try:
-            routes = tuple(sorted((int(pc), int(slot)) for pc, slot in self.routes))
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"routes must be (pc, slot) pairs: {exc}") from None
+    def _validate(self) -> None:
+        components = coerce_specs(self.components, "components", PredictorSpec)
+        routes = _pairs(self.routes, "routes", coerce_int)
         bad = {pc: slot for pc, slot in routes if not 0 <= slot < len(components)}
         if bad:
             raise ConfigurationError(f"route targets out of range: {bad}")
-        duplicates = _duplicate_keys(routes)
-        if duplicates:
-            raise ConfigurationError(
-                f"duplicate PCs in routes: {duplicates} (one slot per branch)"
-            )
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "routes", routes)
 
@@ -707,36 +595,6 @@ class HybridSpec(PredictorSpec):
             dict(self.routes),
             name=self.name,
         )
-
-
-# -- registry API -------------------------------------------------------------
-
-
-def spec_kinds() -> tuple[str, ...]:
-    """Every registered spec kind, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def spec_class(kind: str) -> type[PredictorSpec]:
-    """The spec class registered under ``kind``."""
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown spec kind {kind!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> PredictorSpec:
-    """Rebuild any spec from its :meth:`PredictorSpec.to_dict` form."""
-    if "kind" not in data:
-        raise ConfigurationError("spec dict needs a 'kind' key")
-    return spec_class(data["kind"]).from_dict(data)
-
-
-def spec_from_json(text: str) -> PredictorSpec:
-    """Rebuild any spec from JSON text."""
-    return PredictorSpec.from_json(text)
 
 
 def build_predictor(predictor_or_spec):

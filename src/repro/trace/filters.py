@@ -68,7 +68,7 @@ def window(trace: Trace, start: int, length: int) -> Trace:
     return trace[start : start + length]
 
 
-def sample_every(trace: Trace, stride: int, *, phase: int = 0) -> Trace:
+def sample_every(trace: Trace, stride: int, phase: int = 0) -> Trace:
     """Keep every ``stride``-th record starting at ``phase``.
 
     Deterministic systematic sampling; useful for quick-look analysis of

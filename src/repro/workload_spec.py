@@ -28,8 +28,9 @@ Every spec provides
   actual :class:`~repro.trace.stream.Trace` (always named
   :attr:`~WorkloadSpec.label`);
 * :meth:`~WorkloadSpec.to_dict` / :meth:`~WorkloadSpec.from_dict` —
-  JSON round-trip through the kind-keyed registry
-  (:func:`workload_spec_from_dict`);
+  JSON round-trip through the kind-keyed registry :data:`WORKLOADS`
+  (the serde, field coercion and registry live in
+  :mod:`repro.specbase`, shared with the predictor specs);
 * :meth:`~WorkloadSpec.content_key` — a stable sha256 address of the
   *workload content*: equal keys mean bit-identical materialized
   traces (generators are seeded; files are fingerprinted by bytes),
@@ -44,18 +45,33 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
+import inspect
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, ClassVar
 
-from .errors import ConfigurationError, SpecError, TraceError
+from .errors import ConfigurationError, TraceError
+from .specbase import (
+    Probability,
+    Registry,
+    Spec,
+    canonical_digest,
+    coerce_float,
+    coerce_int,
+    coerce_probability,
+    coerce_specs,
+    coerce_tuple,
+    require_min,
+)
+from .trace import filters
 from .trace.stream import Trace, concat as concat_traces
 
 __all__ = [
     "WORKLOAD_KEY_VERSION",
+    "WORKLOADS",
+    "MODELS",
     "WorkloadSpec",
     "Spec95InputSpec",
     "PopulationSpec",
@@ -74,12 +90,6 @@ __all__ = [
     "AlternatingModelSpec",
     "MarkovModelSpec",
     "PhasedModelSpec",
-    "workload_spec_kinds",
-    "workload_spec_class",
-    "workload_spec_from_dict",
-    "workload_spec_from_json",
-    "model_spec_kinds",
-    "model_spec_from_dict",
     "trace_fingerprint",
     "file_fingerprint",
     "stream_threshold",
@@ -127,16 +137,15 @@ def stream_threshold() -> int:
         )
     return value
 
-_REGISTRY: dict[str, type["WorkloadSpec"]] = {}
-_MODEL_REGISTRY: dict[str, type["ModelSpec"]] = {}
 
-
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+#: Branch-model and workload kinds: one namespace, because a nested
+#: dict decodes by kind across both (a population branch's model, a
+#: composer's members).
+MODELS = Registry("model")
+WORKLOADS = Registry("workload", shares=MODELS)
+#: The workload kinds under their older private name, which
+#: ``perfbench``'s tracer iterates to wrap each ``materialize``.
+_REGISTRY = WORKLOADS
 
 
 def trace_fingerprint(trace: Trace) -> str:
@@ -182,146 +191,45 @@ def file_fingerprint(path: str | Path) -> str:
     return _FILE_FINGERPRINTS[cache_key]
 
 
-# -- shared serialization machinery -------------------------------------------
-
-
-def _encode(value: Any) -> Any:
-    """Encode one field value into plain JSON-compatible data."""
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(value: Any) -> Any:
-    """Inverse of :func:`_encode`: kind-keyed dicts become specs, lists
-    become tuples (JSON has no tuple type)."""
-    if isinstance(value, Mapping) and "kind" in value:
-        kind = value["kind"]
-        if kind in _REGISTRY:
-            return workload_spec_from_dict(value)
-        if kind in _MODEL_REGISTRY:
-            return model_spec_from_dict(value)
-        raise SpecError(
-            f"unknown workload/model kind {kind!r}; registered workload kinds: "
-            f"{sorted(_REGISTRY)}, model kinds: {sorted(_MODEL_REGISTRY)}"
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(_decode(v) for v in value)
-    return value
-
-
 def _key_encode(value: Any) -> Any:
-    """Like :func:`_encode`, but nested workload specs collapse to
-    their :meth:`~WorkloadSpec.content_key` — a composer's key then
-    tracks member *content* (e.g. a member trace file's bytes), not
-    just member field values."""
+    """A field value for :meth:`WorkloadSpec.content_key`: plain data,
+    except that nested workload specs collapse to their content key, so a
+    composer's key tracks member *content* (e.g. a member trace file's
+    bytes), not just member field values."""
     if isinstance(value, WorkloadSpec):
         return {"workload": value.content_key()}
-    if hasattr(value, "to_dict"):
+    if isinstance(value, Spec):
         return value.to_dict()
     if isinstance(value, tuple):
         return [_key_encode(v) for v in value]
     return value
 
 
-class _SpecSerde:
-    """to_dict/from_dict/to_json/from_json shared by both spec layers."""
-
-    __slots__ = ()
-
-    kind: ClassVar[str] = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form: ``{"kind": …, **fields}`` (JSON-compatible)."""
-        data: dict[str, Any] = {"kind": self.kind}
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            data[f.name] = _encode(getattr(self, f.name))
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]):
-        """Rebuild a spec from its :meth:`to_dict` form."""
-        kind = data.get("kind", cls.kind)
-        if kind != cls.kind:
-            raise ConfigurationError(
-                f"workload spec kind mismatch: expected {cls.kind!r}, got {kind!r}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
-        extra = set(data) - known - {"kind"}
-        if extra:
-            raise ConfigurationError(
-                f"unknown field(s) {sorted(extra)} for workload kind {cls.kind!r}"
-            )
-        kwargs = {k: _decode(v) for k, v in data.items() if k != "kind"}
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"invalid {cls.kind!r} spec: {exc}") from None
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        """JSON text form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-
 # -- branch model specs -------------------------------------------------------
 
 
-def _register_model(cls: type["ModelSpec"]) -> type["ModelSpec"]:
-    kind = cls.kind
-    if not kind or kind in _MODEL_REGISTRY or kind in _REGISTRY:
-        raise ConfigurationError(f"duplicate or empty model spec kind {kind!r}")
-    _MODEL_REGISTRY[kind] = cls
-    return cls
-
-
-class ModelSpec(_SpecSerde):
+class ModelSpec(Spec):
     """Declarative form of one :class:`BranchModel` (a population's
     per-branch outcome process).  Model specs are pure data: their
     full field values participate in content keys directly."""
 
     __slots__ = ()
 
+    registry: ClassVar[Registry] = MODELS
+
     def build(self):
         """Materialize the stateless :class:`BranchModel`."""
         raise NotImplementedError
 
 
-def _coerce_probability(value: Any, what: str) -> float:
-    """A probability as a canonical float (int 1 and float 1.0 must key
-    identically), validated at the JSON boundary."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{what} must be in [0, 1], got {value}")
-    return value
-
-
-def _coerce_int(value: Any, what: str) -> int:
-    """An exact integer (8.5 is an error, 8.0 canonicalizes to 8)."""
-    try:
-        coerced = int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
-    if coerced != value:
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return coerced
-
-
-@_register_model
+@MODELS.register
 @dataclass(frozen=True, slots=True)
 class BiasModelSpec(ModelSpec):
     """I.i.d. coin flips with taken probability ``p``."""
 
     kind: ClassVar[str] = "bias"
 
-    p: float = 0.5
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _coerce_probability(self.p, "p"))
+    p: Probability = 0.5
 
     def build(self):
         from .workloads.synthetic.models import BiasedModel
@@ -329,7 +237,7 @@ class BiasModelSpec(ModelSpec):
         return BiasedModel(self.p)
 
 
-@_register_model
+@MODELS.register
 @dataclass(frozen=True, slots=True)
 class PatternModelSpec(ModelSpec):
     """A fixed repeating 0/1 pattern (learnable by two-level predictors)."""
@@ -339,12 +247,13 @@ class PatternModelSpec(ModelSpec):
     pattern: tuple[int, ...] = (1, 0)
     random_phase: bool = True
 
-    def __post_init__(self) -> None:
-        pattern = tuple(_coerce_int(v, "pattern entry") for v in self.pattern)
+    def _validate(self) -> None:
+        pattern = tuple(
+            coerce_int(v, "pattern entry") for v in coerce_tuple(self.pattern, "pattern")
+        )
         if any(v not in (0, 1) for v in pattern):
             raise ConfigurationError("pattern entries must be 0 or 1")
         object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "random_phase", bool(self.random_phase))
 
     def build(self):
         from .workloads.synthetic.models import PatternModel
@@ -352,7 +261,7 @@ class PatternModelSpec(ModelSpec):
         return PatternModel(list(self.pattern), random_phase=self.random_phase)
 
 
-@_register_model
+@MODELS.register
 @dataclass(frozen=True, slots=True)
 class LoopModelSpec(ModelSpec):
     """A loop back-edge: taken ``body - 1`` times, then not-taken once."""
@@ -362,20 +271,16 @@ class LoopModelSpec(ModelSpec):
     body: int = 10
     random_phase: bool = True
 
-    def __post_init__(self) -> None:
-        body = _coerce_int(self.body, "body")
-        if body < 2:
-            raise ConfigurationError(f"loop body must be >= 2, got {body}")
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "random_phase", bool(self.random_phase))
+    def _validate(self) -> None:
+        require_min(self, 2, "body")
 
     def build(self):
         from .workloads.synthetic.models import LoopModel
 
-        return LoopModel(self.body, random_phase=bool(self.random_phase))
+        return LoopModel(self.body, random_phase=self.random_phase)
 
 
-@_register_model
+@MODELS.register
 @dataclass(frozen=True, slots=True)
 class AlternatingModelSpec(ModelSpec):
     """Strict T/N alternation — the transition-class-10 extreme."""
@@ -388,7 +293,7 @@ class AlternatingModelSpec(ModelSpec):
         return AlternatingModel()
 
 
-@_register_model
+@MODELS.register
 @dataclass(frozen=True, slots=True)
 class MarkovModelSpec(ModelSpec):
     """Two-state Markov chain; ``from_rates`` solves for target
@@ -396,12 +301,10 @@ class MarkovModelSpec(ModelSpec):
 
     kind: ClassVar[str] = "markov"
 
-    p_tn: float = 0.5
-    p_nt: float = 0.5
+    p_tn: Probability = 0.5
+    p_nt: Probability = 0.5
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_tn", _coerce_probability(self.p_tn, "p_tn"))
-        object.__setattr__(self, "p_nt", _coerce_probability(self.p_nt, "p_nt"))
+    def _validate(self) -> None:
         if self.p_tn == 0.0 and self.p_nt == 0.0:
             raise ConfigurationError("absorbing chain: p_tn and p_nt cannot both be 0")
 
@@ -418,7 +321,7 @@ class MarkovModelSpec(ModelSpec):
         return MarkovModel(self.p_tn, self.p_nt)
 
 
-@_register_model
+@MODELS.register
 @dataclass(frozen=True, slots=True)
 class PhasedModelSpec(ModelSpec):
     """Concatenated phases of other models (phase-changing branches)."""
@@ -427,15 +330,21 @@ class PhasedModelSpec(ModelSpec):
 
     phases: tuple[tuple[ModelSpec, float], ...] = ()
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         normalized = []
-        for entry in self.phases:
-            model, weight = entry
-            if not isinstance(model, ModelSpec):
+        for entry in coerce_tuple(self.phases, "phases"):
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and isinstance(entry[0], ModelSpec)
+            ):
                 raise ConfigurationError("phases must pair a ModelSpec with a weight")
-            normalized.append((model, float(weight)))
-        if not normalized:
-            raise ConfigurationError("phased model needs at least one phase")
+            weight = coerce_float(entry[1], "phase weight")
+            if weight < 0:
+                raise ConfigurationError(f"phase weights must be non-negative, got {weight}")
+            normalized.append((entry[0], weight))
+        if not sum(weight for _, weight in normalized) > 0:
+            raise ConfigurationError("phased model needs a phase of positive weight")
         object.__setattr__(self, "phases", tuple(normalized))
 
     def build(self):
@@ -444,37 +353,10 @@ class PhasedModelSpec(ModelSpec):
         return PhasedModel([(m.build(), w) for m, w in self.phases])
 
 
-def model_spec_kinds() -> tuple[str, ...]:
-    """Every registered branch-model kind, in registration order."""
-    return tuple(_MODEL_REGISTRY)
-
-
-def model_spec_from_dict(data: Mapping[str, Any]) -> ModelSpec:
-    """Rebuild any model spec from its :meth:`ModelSpec.to_dict` form."""
-    if "kind" not in data:
-        raise ConfigurationError("model spec dict needs a 'kind' key")
-    kind = data["kind"]
-    try:
-        cls = _MODEL_REGISTRY[kind]
-    except KeyError:
-        raise SpecError(
-            f"unknown model spec kind {kind!r}; available: {sorted(_MODEL_REGISTRY)}"
-        ) from None
-    return cls.from_dict(data)
-
-
 # -- workload spec base -------------------------------------------------------
 
 
-def _register(cls: type["WorkloadSpec"]) -> type["WorkloadSpec"]:
-    kind = cls.kind
-    if not kind or kind in _REGISTRY or kind in _MODEL_REGISTRY:
-        raise ConfigurationError(f"duplicate or empty workload spec kind {kind!r}")
-    _REGISTRY[kind] = cls
-    return cls
-
-
-class WorkloadSpec(_SpecSerde):
+class WorkloadSpec(Spec):
     """Base class for declarative trace sources.
 
     Subclasses are frozen dataclasses registered under a unique
@@ -485,8 +367,7 @@ class WorkloadSpec(_SpecSerde):
 
     __slots__ = ()
 
-    #: Registry key; also the ``"kind"`` entry of the serialized form.
-    kind: ClassVar[str] = ""
+    registry: ClassVar[Registry] = WORKLOADS
 
     # -- identity -----------------------------------------------------------
 
@@ -503,12 +384,9 @@ class WorkloadSpec(_SpecSerde):
         Subclasses whose trace depends on state outside their fields
         (e.g. file bytes) extend :meth:`_key_fields`.
         """
-        payload = {
-            "v": WORKLOAD_KEY_VERSION,
-            "kind": self.kind,
-            "fields": self._key_fields(),
-        }
-        return _sha256(_canonical(payload))
+        return canonical_digest(
+            {"v": WORKLOAD_KEY_VERSION, "kind": self.kind, "fields": self._key_fields()}
+        )
 
     def _key_fields(self) -> dict[str, Any]:
         return {
@@ -541,24 +419,11 @@ class WorkloadSpec(_SpecSerde):
         """
         return None
 
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadSpec":
-        """Rebuild a workload spec from JSON text."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid workload JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigurationError("workload JSON must be an object")
-        if cls is WorkloadSpec:
-            return workload_spec_from_dict(data)
-        return cls.from_dict(data)
-
 
 # -- spec95 synthetic benchmarks ----------------------------------------------
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class Spec95InputSpec(WorkloadSpec):
     """One calibrated synthetic SPECint95 benchmark/input pair.
@@ -575,11 +440,10 @@ class Spec95InputSpec(WorkloadSpec):
     input_name: str = "expr.i"
     scale: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         self._input_set()  # validate the Table 1 row exists
         if not self.scale > 0:
             raise ConfigurationError("scale must be positive")
-        object.__setattr__(self, "scale", float(self.scale))
 
     def _input_set(self):
         from .workloads.synthetic.spec95 import SPEC95_INPUTS
@@ -620,10 +484,14 @@ class Spec95InputSpec(WorkloadSpec):
 
 
 @dataclass(frozen=True, slots=True)
-class PopulationBranch:
+class PopulationBranch(Spec):
     """One static branch of a :class:`PopulationSpec`: a PC, an outcome
     model, a schedule weight, and the optional hard/follower markers of
-    :class:`~repro.workloads.synthetic.population.BranchSpec`."""
+    :class:`~repro.workloads.synthetic.population.BranchSpec`.  A
+    kind-less record: it serializes without a ``"kind"`` key."""
+
+    #: Decodes the nested ``model`` dict by its kind.
+    registry: ClassVar[Registry] = MODELS
 
     pc: int
     model: ModelSpec
@@ -631,39 +499,12 @@ class PopulationBranch:
     hard: bool = False
     follows: int | None = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.model, ModelSpec):
             raise ConfigurationError("branch model must be a ModelSpec")
-        object.__setattr__(self, "pc", _coerce_int(self.pc, "pc"))
-        object.__setattr__(self, "weight", _coerce_int(self.weight, "weight"))
-        object.__setattr__(self, "hard", bool(self.hard))
-        if self.follows is not None:
-            object.__setattr__(self, "follows", _coerce_int(self.follows, "follows"))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pc": self.pc,
-            "model": self.model.to_dict(),
-            "weight": self.weight,
-            "hard": self.hard,
-            "follows": self.follows,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PopulationBranch":
-        try:
-            return cls(
-                pc=data["pc"],
-                model=model_spec_from_dict(data["model"]),
-                weight=data.get("weight", 1),
-                hard=data.get("hard", False),
-                follows=data.get("follows"),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"population branch needs field {exc}") from None
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class PopulationSpec(WorkloadSpec):
     """A raw synthetic population: explicit branches over the model zoo.
@@ -679,26 +520,16 @@ class PopulationSpec(WorkloadSpec):
     branches: tuple[PopulationBranch, ...] = ()
     length: int = 10_000
     seed: int = 0
-    hard_adjacency: float = 0.0
+    hard_adjacency: Probability = 0.0
     name: str = "population"
 
-    def __post_init__(self) -> None:
-        normalized = []
-        for branch in self.branches:
-            if isinstance(branch, Mapping):
-                branch = PopulationBranch.from_dict(branch)
-            if not isinstance(branch, PopulationBranch):
-                raise ConfigurationError("branches must be PopulationBranch entries")
-            normalized.append(branch)
-        if not normalized:
-            raise ConfigurationError("population needs at least one branch")
-        length = _coerce_int(self.length, "length")
-        if length < 0:
-            raise ConfigurationError("length must be non-negative")
-        object.__setattr__(self, "branches", tuple(normalized))
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "seed", _coerce_int(self.seed, "seed"))
-        object.__setattr__(self, "hard_adjacency", float(self.hard_adjacency))
+    def _validate(self) -> None:
+        branches = tuple(
+            PopulationBranch.from_dict(b) if isinstance(b, Mapping) else b
+            for b in coerce_tuple(self.branches, "branches")
+        )
+        require_min(self, 0, "length", "seed")
+        object.__setattr__(self, "branches", coerce_specs(branches, "branches", PopulationBranch))
 
     @property
     def label(self) -> str:
@@ -728,7 +559,7 @@ class PopulationSpec(WorkloadSpec):
 # -- VM kernel programs -------------------------------------------------------
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class KernelSpec(WorkloadSpec):
     """A mini-ISA kernel executed to completion by the VM.
@@ -745,18 +576,15 @@ class KernelSpec(WorkloadSpec):
     seed: int = 0
     alias: str = ""
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         from .workloads.programs.kernels import KERNEL_NAMES
 
         if self.name not in KERNEL_NAMES:
             raise ConfigurationError(
                 f"unknown kernel {self.name!r}; available: {KERNEL_NAMES}"
             )
-        size = _coerce_int(self.size, "size")
-        if size < 1:
-            raise ConfigurationError("size must be >= 1")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "seed", _coerce_int(self.seed, "seed"))
+        require_min(self, 1, "size")
+        require_min(self, 0, "seed")
 
     @property
     def label(self) -> str:
@@ -771,16 +599,15 @@ class KernelSpec(WorkloadSpec):
 
 
 def _coerce_rates(value: Any, what: str) -> tuple[float, ...]:
-    """A rate list field: scalars become one-element tuples, every
+    """A rate list field: a scalar becomes a one-element tuple, and every
     entry must be a probability."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = (value,)
-    if not isinstance(value, (tuple, list)) or not value:
+    rates = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    if not rates:
         raise ConfigurationError(f"{what} must be a number or a non-empty list")
-    return tuple(_coerce_probability(v, what) for v in value)
+    return tuple(coerce_probability(v, what) for v in rates)
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class GenKernelSpec(WorkloadSpec):
     """A parametrically *generated* mini-ISA kernel.
@@ -809,9 +636,8 @@ class GenKernelSpec(WorkloadSpec):
     seed: int = 0
     alias: str = ""
 
-    def __post_init__(self) -> None:
-        for name in ("branches", "iters", "unroll", "depth", "align", "seed"):
-            object.__setattr__(self, name, _coerce_int(getattr(self, name), name))
+    def _validate(self) -> None:
+        require_min(self, 0, "seed")
         object.__setattr__(self, "taken_rates", _coerce_rates(self.taken_rates, "taken_rates"))
         object.__setattr__(
             self, "transition_rates", _coerce_rates(self.transition_rates, "transition_rates")
@@ -856,7 +682,7 @@ class GenKernelSpec(WorkloadSpec):
 # -- on-disk trace files ------------------------------------------------------
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class TraceFileSpec(WorkloadSpec):
     """A saved trace file (binary ``.rbt`` or text format).
@@ -873,10 +699,9 @@ class TraceFileSpec(WorkloadSpec):
     sha256: str = ""
     alias: str = ""
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.path:
             raise ConfigurationError("trace-file spec needs a path")
-        object.__setattr__(self, "path", str(self.path))
 
     @classmethod
     def of(cls, path: str | Path, *, alias: str = "") -> "TraceFileSpec":
@@ -936,7 +761,7 @@ class TraceFileSpec(WorkloadSpec):
         return TraceReader(self.path)
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class PerfLbrSpec(WorkloadSpec):
     """A real-hardware branch trace: ``perf script`` LBR output.
@@ -962,15 +787,10 @@ class PerfLbrSpec(WorkloadSpec):
     cond_only: bool = False
     alias: str = ""
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.path:
             raise ConfigurationError("perf-lbr spec needs a path")
-        object.__setattr__(self, "path", str(self.path))
-        if self.pid is not None:
-            pid = _coerce_int(self.pid, "pid")
-            if pid < 0:
-                raise ConfigurationError(f"pid must be >= 0, got {pid}")
-            object.__setattr__(self, "pid", pid)
+        require_min(self, 0, "pid")
 
     @classmethod
     def of(cls, path: str | Path, **kwargs: Any) -> "PerfLbrSpec":
@@ -1017,7 +837,7 @@ class PerfLbrSpec(WorkloadSpec):
 # -- composers ----------------------------------------------------------------
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class ConcatSpec(WorkloadSpec):
     """Member workloads concatenated end to end (shared PC space)."""
@@ -1027,14 +847,8 @@ class ConcatSpec(WorkloadSpec):
     parts: tuple[WorkloadSpec, ...] = ()
     name: str = "concat"
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        if not parts:
-            raise ConfigurationError("concat needs at least one part")
-        for part in parts:
-            if not isinstance(part, WorkloadSpec):
-                raise ConfigurationError("concat parts must be WorkloadSpecs")
-        object.__setattr__(self, "parts", parts)
+    def _validate(self) -> None:
+        object.__setattr__(self, "parts", coerce_specs(self.parts, "parts", WorkloadSpec))
 
     @property
     def label(self) -> str:
@@ -1046,60 +860,20 @@ class ConcatSpec(WorkloadSpec):
         )
 
 
-#: Filter operations available to :class:`FilterSpec`, mapping op name
-#: to a callable of ``(trace, *args)``.
-_FILTER_OPS: dict[str, Callable[..., Trace]] = {}
+#: Filter operations available to :class:`FilterSpec`: op name -> a
+#: callable of ``(trace, *args)``.  Each argument named ``pcs`` is a
+#: list of PCs; every other one is an integer.
+_FILTER_OPS: dict[str, Callable[..., Trace]] = {
+    "select_pcs": filters.select_pcs,
+    "exclude_pcs": filters.exclude_pcs,
+    "window": filters.window,
+    "sample_every": filters.sample_every,
+    "offset_pcs": filters.offset_pcs,
+    "head": Trace.head,
+}
 
 
-def _filter_op(name: str):
-    def register(fn):
-        _FILTER_OPS[name] = fn
-        return fn
-
-    return register
-
-
-@_filter_op("select_pcs")
-def _op_select_pcs(trace: Trace, pcs) -> Trace:
-    from .trace.filters import select_pcs
-
-    return select_pcs(trace, pcs)
-
-
-@_filter_op("exclude_pcs")
-def _op_exclude_pcs(trace: Trace, pcs) -> Trace:
-    from .trace.filters import exclude_pcs
-
-    return exclude_pcs(trace, pcs)
-
-
-@_filter_op("window")
-def _op_window(trace: Trace, start, length) -> Trace:
-    from .trace.filters import window
-
-    return window(trace, int(start), int(length))
-
-
-@_filter_op("sample_every")
-def _op_sample_every(trace: Trace, stride, phase=0) -> Trace:
-    from .trace.filters import sample_every
-
-    return sample_every(trace, int(stride), phase=int(phase))
-
-
-@_filter_op("offset_pcs")
-def _op_offset_pcs(trace: Trace, offset) -> Trace:
-    from .trace.filters import offset_pcs
-
-    return offset_pcs(trace, int(offset))
-
-
-@_filter_op("head")
-def _op_head(trace: Trace, n) -> Trace:
-    return trace.head(int(n))
-
-
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class FilterSpec(WorkloadSpec):
     """A :mod:`repro.trace.filters` transformation of another workload.
@@ -1115,14 +889,28 @@ class FilterSpec(WorkloadSpec):
     args: tuple = ()
     alias: str = ""
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.source, WorkloadSpec):
             raise ConfigurationError("filter source must be a WorkloadSpec")
         if self.op not in _FILTER_OPS:
             raise ConfigurationError(
                 f"unknown filter op {self.op!r}; available: {sorted(_FILTER_OPS)}"
             )
-        object.__setattr__(self, "args", tuple(self.args))
+        # Bind the arguments to the op's signature (after the trace), so a
+        # wrong count or type fails here rather than at materialize.
+        try:
+            bound = inspect.signature(_FILTER_OPS[self.op]).bind(
+                None, *coerce_tuple(self.args, "args")
+            )
+        except TypeError as exc:
+            raise ConfigurationError(f"filter op {self.op!r}: {exc}") from None
+        args = tuple(
+            tuple(coerce_int(pc, name) for pc in coerce_tuple(value, name))
+            if name == "pcs"
+            else coerce_int(value, name)
+            for name, value in list(bound.arguments.items())[1:]
+        )
+        object.__setattr__(self, "args", args)
 
     @property
     def label(self) -> str:
@@ -1135,7 +923,7 @@ class FilterSpec(WorkloadSpec):
         return trace.with_name(self.label)
 
 
-@_register
+@WORKLOADS.register
 @dataclass(frozen=True, slots=True)
 class SuiteSpec(WorkloadSpec):
     """A named, ordered collection of uniquely-labelled workloads.
@@ -1153,15 +941,9 @@ class SuiteSpec(WorkloadSpec):
     name: str = "suite"
     members: tuple[WorkloadSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise ConfigurationError("suite needs at least one member")
-        labels = []
-        for member in members:
-            if not isinstance(member, WorkloadSpec):
-                raise ConfigurationError("suite members must be WorkloadSpecs")
-            labels.append(member.label)
+    def _validate(self) -> None:
+        members = coerce_specs(self.members, "members", WorkloadSpec)
+        labels = [member.label for member in members]
         duplicates = sorted({label for label in labels if labels.count(label) > 1})
         if duplicates:
             raise ConfigurationError(
@@ -1185,36 +967,6 @@ class SuiteSpec(WorkloadSpec):
         from .trace.filters import merge_suite
 
         return merge_suite(self.traces(), name=self.label)
-
-
-# -- registry API -------------------------------------------------------------
-
-
-def workload_spec_kinds() -> tuple[str, ...]:
-    """Every registered workload kind, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def workload_spec_class(kind: str) -> type[WorkloadSpec]:
-    """The workload spec class registered under ``kind``."""
-    try:
-        return _REGISTRY[kind]
-    except KeyError:
-        raise SpecError(
-            f"unknown workload kind {kind!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def workload_spec_from_dict(data: Mapping[str, Any]) -> WorkloadSpec:
-    """Rebuild any workload spec from its :meth:`WorkloadSpec.to_dict` form."""
-    if "kind" not in data:
-        raise ConfigurationError("workload spec dict needs a 'kind' key")
-    return workload_spec_class(data["kind"]).from_dict(data)
-
-
-def workload_spec_from_json(text: str) -> WorkloadSpec:
-    """Rebuild any workload spec from JSON text."""
-    return WorkloadSpec.from_json(text)
 
 
 # -- named suites -------------------------------------------------------------
@@ -1368,7 +1120,7 @@ def resolve_workload(text: str, *, scale: float = 1.0) -> WorkloadSpec:
     if candidate in NAMED_SUITES:
         return named_suite(candidate, scale=scale)
     if candidate.startswith("{"):
-        return workload_spec_from_json(candidate)
+        return WorkloadSpec.from_json(candidate)
     if candidate.startswith("file:"):
         return TraceFileSpec(path=candidate[len("file:") :])
     path = Path(candidate)
@@ -1383,7 +1135,7 @@ def resolve_workload(text: str, *, scale: float = 1.0) -> WorkloadSpec:
         with open(path, "rb") as fp:
             if fp.read(4) == MAGIC:
                 return TraceFileSpec(path=str(path))
-        return workload_spec_from_json(path.read_text())
+        return WorkloadSpec.from_json(path.read_text())
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read workload file {candidate!r}: {exc}"

@@ -275,28 +275,24 @@ class TestWorkloadCommands:
         # Registry completeness: a kind that registers without showing
         # up in `repro workloads` (and a suite missing from the list)
         # fails here, so new kinds can't be forgotten.
-        from repro.workload_spec import (
-            NAMED_SUITES,
-            model_spec_kinds,
-            workload_spec_kinds,
-        )
+        from repro.workload_spec import MODELS, NAMED_SUITES, WORKLOADS
 
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
-        for kind in workload_spec_kinds():
+        for kind in WORKLOADS.kinds():
             assert f"{kind}:" in out, kind
-        for kind in model_spec_kinds():
+        for kind in MODELS.kinds():
             assert kind in out, kind
         for suite in NAMED_SUITES:
             assert suite in out, suite
 
     def test_unknown_kind_lists_registered_kinds(self, capsys):
         from repro.errors import SpecError
-        from repro.workload_spec import workload_spec_from_dict, workload_spec_kinds
+        from repro.workload_spec import WORKLOADS, WorkloadSpec
 
         with pytest.raises(SpecError) as excinfo:
-            workload_spec_from_dict({"kind": "made-up"})
-        for kind in workload_spec_kinds():
+            WorkloadSpec.from_dict({"kind": "made-up"})
+        for kind in WORKLOADS.kinds():
             assert kind in str(excinfo.value)
 
     def test_simulate_workload_inline(self, capsys):
@@ -702,13 +698,13 @@ class TestGenKernelCommand:
     def test_spec_emission_round_trips(self, capsys):
         import json
 
-        from repro.workload_spec import GenKernelSpec, workload_spec_from_dict
+        from repro.workload_spec import GenKernelSpec, WorkloadSpec
 
         assert main(
             ["gen-kernel", "--branches", "2", "--iters", "16", "--seed", "4",
              "--spec"]
         ) == 0
-        spec = workload_spec_from_dict(json.loads(capsys.readouterr().out))
+        spec = WorkloadSpec.from_dict(json.loads(capsys.readouterr().out))
         assert isinstance(spec, GenKernelSpec)
         assert spec.branches == 2 and spec.iters == 16 and spec.seed == 4
 

@@ -34,6 +34,7 @@ from repro.errors import ConfigurationError, TraceError
 from repro.predictors.paper_configs import HISTORY_LENGTHS, paper_spec
 from repro.session import Session, StreamedTrace
 from repro.spec import (
+    PREDICTORS,
     AgreeSpec,
     BimodalSpec,
     BiModeSpec,
@@ -46,7 +47,6 @@ from repro.spec import (
     TournamentSpec,
     TwoLevelSpec,
     YagsSpec,
-    spec_kinds,
 )
 from repro.trace.io import save_trace
 from repro.trace.stats import TraceStats
@@ -103,7 +103,7 @@ def family_specs():
             ),
         ),
     }
-    assert set(specs) == set(spec_kinds()), "new spec kind missing from streaming tests"
+    assert set(specs) == set(PREDICTORS.kinds()), "new spec kind missing from streaming tests"
     return specs
 
 

@@ -162,9 +162,9 @@ class TestDeterminism:
         local = [trace_fingerprint(spec.materialize()) for spec in self.GRID]
         script = (
             f"import sys; sys.path.insert(0, {SRC!r})\n"
-            "from repro.workload_spec import workload_spec_from_json, trace_fingerprint\n"
+            "from repro.workload_spec import WorkloadSpec, trace_fingerprint\n"
             f"for text in {specs_json!r}:\n"
-            "    spec = workload_spec_from_json(text)\n"
+            "    spec = WorkloadSpec.from_json(text)\n"
             "    print(trace_fingerprint(spec.materialize()))\n"
         )
         result = subprocess.run(

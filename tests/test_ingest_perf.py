@@ -248,8 +248,8 @@ class TestPerfLbrSpec:
         spec = PerfLbrSpec.of(str(CLEAN), event="branches")
         script = (
             f"import sys; sys.path.insert(0, {SRC!r})\n"
-            "from repro.workload_spec import workload_spec_from_json\n"
-            f"print(workload_spec_from_json({spec.to_json()!r}).content_key())\n"
+            "from repro.workload_spec import WorkloadSpec\n"
+            f"print(WorkloadSpec.from_json({spec.to_json()!r}).content_key())\n"
         )
         result = subprocess.run(
             [sys.executable, "-I", "-c", script], capture_output=True, text=True

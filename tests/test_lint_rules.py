@@ -216,6 +216,36 @@ class TestScopedRulesStayInScope:
         assert [f for f in findings if f.rule == "S202"] == []
 
 
+#: S202 under the registry-object form the spec modules use
+#: (``@PREDICTORS.register``); ``FIXTURES["S202"]`` keeps the function form.
+S202_REGISTRY_FORM = (
+    "from dataclasses import dataclass\n"
+    "from typing import ClassVar\n"
+    "from repro.specbase import Registry\n"
+    "PREDICTORS = Registry('predictor')\n"
+    "{decorator}"
+    "@dataclass(frozen=True, slots=True)\n"
+    "class FooSpec:\n"
+    "    kind: ClassVar[str] = 'foo'\n"
+    "    x: int = 0\n"
+)
+
+
+class TestS202RegistryForm:
+    def test_registered_through_the_registry_is_clean(self, tmp_path):
+        source = S202_REGISTRY_FORM.format(decorator="@PREDICTORS.register\n")
+        findings = run_fixture(tmp_path, "spec.py", source)
+        assert [f for f in findings if f.rule == "S202"] == []
+
+    @pytest.mark.parametrize(
+        "decorator", ["", "@functools.total_ordering\n", "@PREDICTORS.lookup\n"]
+    )
+    def test_unregistered_kind_is_flagged(self, tmp_path, decorator):
+        source = S202_REGISTRY_FORM.format(decorator=decorator)
+        findings = run_fixture(tmp_path, "workload_spec.py", source)
+        assert [f.rule for f in findings if f.rule == "S202"] == ["S202"]
+
+
 class TestW303Semantics:
     def test_sync_helper_nested_in_async_is_clean(self, tmp_path):
         # The fix W303 recommends — hoist blocking work into a sync

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import simulate_reference
-from repro.errors import ConfigurationError
+from repro.engine import simulate, simulate_reference
+from repro.errors import ConfigurationError, SpecError
 from repro.predictors import (
     AgreePredictor,
     AlwaysNotTakenPredictor,
@@ -34,6 +34,7 @@ from repro.predictors.paper_configs import (
     paper_spec,
 )
 from repro.spec import (
+    PREDICTORS,
     AgreeSpec,
     BiModeSpec,
     BimodalSpec,
@@ -48,10 +49,6 @@ from repro.spec import (
     TwoLevelSpec,
     YagsSpec,
     build_predictor,
-    spec_class,
-    spec_from_dict,
-    spec_from_json,
-    spec_kinds,
 )
 from repro.trace import Trace
 
@@ -99,31 +96,31 @@ SPEC_CATALOGUE = [
 
 class TestRegistry:
     def test_all_families_registered(self):
-        assert set(spec_kinds()) == {
+        assert set(PREDICTORS.kinds()) == {
             "static", "profile-static", "last-outcome", "bimodal", "two-level",
             "agree", "yags", "bimode", "filter", "dhlf", "tournament", "hybrid",
         }
 
     def test_catalogue_covers_every_kind(self):
-        assert {s.kind for s in SPEC_CATALOGUE} == set(spec_kinds())
+        assert {s.kind for s in SPEC_CATALOGUE} == set(PREDICTORS.kinds())
 
     def test_spec_class_lookup(self):
-        assert spec_class("two-level") is TwoLevelSpec
+        assert PREDICTORS.lookup("two-level") is TwoLevelSpec
         with pytest.raises(ConfigurationError):
-            spec_class("nope")
+            PREDICTORS.lookup("nope")
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("spec", SPEC_CATALOGUE, ids=lambda s: s.kind)
     def test_dict_round_trip(self, spec):
-        rebuilt = spec_from_dict(spec.to_dict())
+        rebuilt = PredictorSpec.from_dict(spec.to_dict())
         assert rebuilt == spec
         assert hash(rebuilt) == hash(spec)
 
     @pytest.mark.parametrize("spec", SPEC_CATALOGUE, ids=lambda s: s.kind)
     def test_json_round_trip(self, spec):
         # Through real JSON text: tuples degrade to lists and back.
-        rebuilt = spec_from_json(spec.to_json())
+        rebuilt = PredictorSpec.from_json(spec.to_json())
         assert rebuilt == spec
 
     def test_dispatch_via_base_class(self):
@@ -145,7 +142,7 @@ class TestRoundTrip:
                 bht_entries=1 << int(rng.integers(4, 12)) if kind == "per-address" and hist else None,
                 counter_bits=int(rng.integers(1, 4)),
             )
-            assert spec_from_json(spec.to_json()) == spec
+            assert PredictorSpec.from_json(spec.to_json()) == spec
 
     def test_profile_static_directions_normalized(self):
         a = ProfileStaticSpec(directions=((8, True), (4, False)))
@@ -157,11 +154,11 @@ class TestRoundTrip:
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            spec_from_dict({"kind": "quantum"})
+            PredictorSpec.from_dict({"kind": "quantum"})
 
     def test_missing_kind(self):
         with pytest.raises(ConfigurationError):
-            spec_from_dict({"history_bits": 3})
+            PredictorSpec.from_dict({"history_bits": 3})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -173,17 +170,25 @@ class TestValidation:
 
     def test_invalid_json(self):
         with pytest.raises(ConfigurationError):
-            spec_from_json("{not json")
+            PredictorSpec.from_json("{not json")
 
     def test_wrong_typed_json_fields_raise_configuration_error(self):
         # The JSON boundary must never leak bare TypeErrors to callers
         # (the CLI only catches ReproError).
         with pytest.raises(ConfigurationError):
-            spec_from_json('{"kind": "bimodal", "entries": 256.0}')
+            PredictorSpec.from_json('{"kind": "bimodal", "entries": 256.5}')
         with pytest.raises(ConfigurationError):
-            spec_from_json('{"kind": "two-level", "history_bits": "4"}')
+            PredictorSpec.from_json('{"kind": "two-level", "history_bits": "4"}')
         with pytest.raises(ConfigurationError):
-            spec_from_json('{"kind": "tournament", "first": 3}')
+            PredictorSpec.from_json('{"kind": "tournament", "first": 3}')
+
+    def test_unknown_kind_is_a_spec_error_naming_the_kinds(self):
+        with pytest.raises(SpecError) as excinfo:
+            PredictorSpec.from_dict({"kind": "quantum"})
+        for kind in PREDICTORS.kinds():
+            assert kind in str(excinfo.value)
+        with pytest.raises(SpecError):
+            TournamentSpec.from_dict({"kind": "tournament", "first": {"kind": "quantum"}})
 
     def test_concat_history_exceeds_pht(self):
         with pytest.raises(ConfigurationError):
@@ -266,7 +271,7 @@ class TestBuildEquivalence:
         for kind in ("pas", "gas"):
             for k in HISTORY_LENGTHS:
                 spec = paper_spec(kind, k)
-                assert spec_from_json(spec.to_json()) == spec
+                assert PredictorSpec.from_json(spec.to_json()) == spec
                 assert spec.build().name == f"{kind.upper().replace('S', 's')}-h{k}"
 
     @pytest.mark.parametrize(
@@ -368,3 +373,47 @@ class TestEngineAcceptsSpecs:
         by_spec = simulate(spec, trace)
         by_predictor = simulate(spec.build(), trace)
         assert np.array_equal(by_spec.mispredictions, by_predictor.mispredictions)
+
+
+class TestFieldCoercion:
+    """Scalar fields take their declared type at construction: an
+    integral float becomes an int, any other misfit raises
+    ConfigurationError there, never later in the engine."""
+
+    def test_integral_float_canonicalizes_and_simulates(self):
+        spec = PredictorSpec.from_json(
+            '{"kind": "two-level", "history_bits": 2.0, "pht_index_bits": 4}'
+        )
+        exact = TwoLevelSpec(history_bits=2, pht_index_bits=4)
+        assert spec == exact
+        assert spec.to_json() == exact.to_json()
+        assert type(spec.history_bits) is int
+        for engine in ("auto", "reference"):
+            assert simulate(spec, small_trace(), engine=engine).total_executions == 600
+        assert BimodalSpec(entries=256.0).to_json() == BimodalSpec(entries=256).to_json()
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"kind": "static", "direction": "false"},
+            {"kind": "static", "direction": None},
+            {"kind": "bimodal", "entries": True},
+            {"kind": "bimodal", "entries": float("inf")},
+            {"kind": "two-level", "history_bits": float("nan")},
+            {"kind": "two-level", "history_kind": 3},
+            {"kind": "two-level", "name": 7},
+            {"kind": "last-outcome", "initial": "yes"},
+            {"kind": "dhlf", "start_history": 2.5},
+            {"kind": "filter", "counter_bits": -1},
+            {"kind": "hybrid", "components": 3},
+            {"kind": "profile-static", "directions": [[4, "no"]]},
+        ],
+        ids=str,
+    )
+    def test_misfit_raises_configuration_error(self, document):
+        with pytest.raises(ConfigurationError):
+            PREDICTORS.lookup(document["kind"]).from_dict(document)
+
+    def test_zero_and_one_are_booleans(self):
+        assert StaticSpec(direction=0) == StaticSpec(direction=False)
+        assert StaticSpec(direction=0).to_json() == StaticSpec(direction=False).to_json()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.workload_spec import workload_spec_kinds
+from repro.workload_spec import WORKLOADS
 from test_workload_spec import spec_catalogue
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -25,8 +25,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 _PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})
-from repro.workload_spec import workload_spec_from_json, trace_fingerprint
-spec = workload_spec_from_json({spec_json!r})
+from repro.workload_spec import WorkloadSpec, trace_fingerprint
+spec = WorkloadSpec.from_json({spec_json!r})
 print(trace_fingerprint(spec.materialize()))
 """
 
@@ -53,10 +53,10 @@ def catalogue(tmp_path_factory):
 
 def test_catalogue_covers_every_registered_kind(catalogue):
     # Adding a workload kind without a determinism probe fails loudly.
-    assert set(catalogue) == set(workload_spec_kinds())
+    assert set(catalogue) == set(WORKLOADS.kinds())
 
 
-@pytest.mark.parametrize("kind", sorted(workload_spec_kinds()))
+@pytest.mark.parametrize("kind", sorted(WORKLOADS.kinds()))
 def test_kind_materializes_bit_identical_in_subprocess(kind, catalogue):
     from repro.workload_spec import trace_fingerprint
 
@@ -79,10 +79,10 @@ def test_spec95_all_inputs_deterministic_in_subprocess():
 def test_round_trip_preserves_materialization(catalogue):
     # JSON round-trip must not perturb generation (e.g. via float
     # formatting or tuple/list coercions).
-    from repro.workload_spec import trace_fingerprint, workload_spec_from_json
+    from repro.workload_spec import WorkloadSpec, trace_fingerprint
 
     for kind, spec in catalogue.items():
-        rebuilt = workload_spec_from_json(json.dumps(json.loads(spec.to_json())))
+        rebuilt = WorkloadSpec.from_json(json.dumps(json.loads(spec.to_json())))
         assert trace_fingerprint(rebuilt.materialize()) == trace_fingerprint(
             spec.materialize()
         ), kind

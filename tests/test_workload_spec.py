@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError, SpecError, TraceError
 from repro.trace import Trace, exclude_pcs, offset_pcs, save_trace
 from repro.workload_spec import (
+    MODELS,
+    WORKLOADS,
     AlternatingModelSpec,
     BiasModelSpec,
     ConcatSpec,
@@ -17,6 +19,7 @@ from repro.workload_spec import (
     KernelSpec,
     LoopModelSpec,
     MarkovModelSpec,
+    ModelSpec,
     PatternModelSpec,
     PerfLbrSpec,
     PhasedModelSpec,
@@ -29,14 +32,9 @@ from repro.workload_spec import (
     file_fingerprint,
     kernel_suite,
     load_suite,
-    model_spec_kinds,
     named_suite,
     spec95_suite,
     trace_fingerprint,
-    workload_spec_class,
-    workload_spec_from_dict,
-    workload_spec_from_json,
-    workload_spec_kinds,
 )
 
 
@@ -89,20 +87,20 @@ def spec_catalogue(tmp_path):
 class TestRoundTrip:
     def test_every_kind_round_trips_through_json(self, tmp_path):
         catalogue = spec_catalogue(tmp_path)
-        assert set(catalogue) == set(workload_spec_kinds())
+        assert set(catalogue) == set(WORKLOADS.kinds())
         for kind, spec in catalogue.items():
-            rebuilt = workload_spec_from_json(spec.to_json())
+            rebuilt = WorkloadSpec.from_json(spec.to_json())
             assert rebuilt == spec, kind
             assert rebuilt.content_key() == spec.content_key(), kind
             assert rebuilt.label == spec.label, kind
 
     def test_dispatch_requires_kind(self):
         with pytest.raises(ConfigurationError):
-            workload_spec_from_dict({"name": "x"})
+            WorkloadSpec.from_dict({"name": "x"})
         with pytest.raises(ConfigurationError):
-            workload_spec_from_dict({"kind": "bogus"})
+            WorkloadSpec.from_dict({"kind": "bogus"})
         with pytest.raises(ConfigurationError):
-            workload_spec_class("bogus")
+            WORKLOADS.lookup("bogus")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -114,19 +112,19 @@ class TestRoundTrip:
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError):
-            workload_spec_from_json("{not json")
+            WorkloadSpec.from_json("{not json")
         with pytest.raises(ConfigurationError):
-            workload_spec_from_json("[1, 2]")
+            WorkloadSpec.from_json("[1, 2]")
 
     def test_model_specs_round_trip(self):
         population = small_population()
         data = json.loads(population.to_json())
         models = [b["model"]["kind"] for b in data["branches"]]
         assert models == ["loop", "markov", "pattern", "phased"]
-        assert workload_spec_from_dict(data) == population
+        assert WorkloadSpec.from_dict(data) == population
 
     def test_model_kinds_registered(self):
-        assert set(model_spec_kinds()) == {
+        assert set(MODELS.kinds()) == {
             "bias", "pattern", "loop", "alternating", "markov", "phased",
         }
 
@@ -227,7 +225,7 @@ class TestMaterialize:
 
     def test_filter_round_trips_with_args(self):
         spec = FilterSpec(source=KernelSpec(), op="sample_every", args=(4, 2))
-        assert workload_spec_from_json(spec.to_json()) == spec
+        assert WorkloadSpec.from_json(spec.to_json()) == spec
 
     def test_suite_traces_and_merge(self):
         suite = SuiteSpec(
@@ -315,7 +313,7 @@ class TestContentKeys:
             BiasModelSpec,
             LoopModelSpec,
             MarkovModelSpec,
-            model_spec_from_dict,
+            ModelSpec,
         )
 
         with pytest.raises(ConfigurationError):
@@ -329,7 +327,7 @@ class TestContentKeys:
         with pytest.raises(ConfigurationError):
             PatternModelSpec(pattern=(1, 2))
         with pytest.raises(ConfigurationError):
-            model_spec_from_dict({"kind": "loop", "body": 8.5})
+            ModelSpec.from_dict({"kind": "loop", "body": 8.5})
         with pytest.raises(ConfigurationError):
             KernelSpec(size=64.5)
 
@@ -417,3 +415,120 @@ class TestSessionIntegration:
             WorkloadSpec().materialize()
         with pytest.raises(NotImplementedError):
             WorkloadSpec().label
+
+
+class TestRegistries:
+    def test_unknown_kind_is_a_spec_error_in_both_families(self):
+        with pytest.raises(SpecError) as excinfo:
+            WorkloadSpec.from_dict({"kind": "bogus"})
+        assert all(kind in str(excinfo.value) for kind in WORKLOADS.kinds())
+        with pytest.raises(SpecError) as excinfo:
+            ModelSpec.from_dict({"kind": "bogus"})
+        assert all(kind in str(excinfo.value) for kind in MODELS.kinds())
+
+    def test_family_bases_dispatch_by_kind(self):
+        loop = LoopModelSpec(body=6)
+        assert ModelSpec.from_dict(loop.to_dict()) == loop
+        assert ModelSpec.from_json(loop.to_json()) == loop
+        kernel = KernelSpec(name="sieve", size=32)
+        assert WorkloadSpec.from_dict(kernel.to_dict()) == kernel
+        with pytest.raises(SpecError):
+            ModelSpec.from_dict(kernel.to_dict())  # a workload kind is not a model kind
+
+    def test_kinds_share_one_namespace(self):
+        assert not set(WORKLOADS) & set(MODELS)
+        with pytest.raises(ConfigurationError):
+            WORKLOADS.register(LoopModelSpec)
+
+
+class TestFieldCoercion:
+    """Scalar fields take their declared type at construction; a misfit
+    raises ConfigurationError there, not in materialize or content_key."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KernelSpec(name="sieve", size=float("inf")),
+            lambda: KernelSpec(name="sieve", seed=-1),
+            lambda: GenKernelSpec(iters=float("inf")),
+            lambda: GenKernelSpec(seed=-1),
+            lambda: small_population(seed=-1),
+            lambda: small_population(length=float("nan")),
+            lambda: PopulationSpec(
+                branches=(PopulationBranch(pc=float("inf"), model=LoopModelSpec()),)
+            ),
+            lambda: PerfLbrSpec(path="x.txt", sha256=5),
+            lambda: PerfLbrSpec(path="x.txt", event=3),
+            lambda: PerfLbrSpec(path="x.txt", cond_only="no"),
+            lambda: TraceFileSpec(path=7),
+            lambda: Spec95InputSpec(scale=float("inf")),
+            lambda: SuiteSpec(name="s", members=3),
+            lambda: LoopModelSpec(random_phase="false"),
+            lambda: BiasModelSpec(p="0.5"),
+            lambda: BiasModelSpec(p=True),
+        ],
+    )
+    def test_misfit_raises_configuration_error(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
+
+    def test_integral_floats_canonicalize(self):
+        exact = KernelSpec(name="sieve", size=96)
+        assert KernelSpec(name="sieve", size=96.0).to_json() == exact.to_json()
+        assert PopulationBranch(pc=16.0, model=LoopModelSpec()).pc == 16
+
+
+class TestFilterArguments:
+    """A filter's args are bound to its op's signature at construction."""
+
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("window", [1]),
+            ("window", [1, 2, 3]),
+            ("head", ["abc"]),
+            ("head", [2.5]),
+            ("select_pcs", [{"a": 1}]),
+            ("select_pcs", [["x"]]),
+            ("offset_pcs", [None]),
+            ("sample_every", []),
+        ],
+    )
+    def test_bad_args_fail_at_construction(self, op, args):
+        source = KernelSpec(name="sieve", size=16).to_dict()
+        with pytest.raises(ConfigurationError):
+            FilterSpec.from_dict({"kind": "filter", "source": source, "op": op, "args": args})
+
+    def test_good_args_are_canonical(self):
+        source = KernelSpec(name="sieve", size=16)
+        spec = FilterSpec(source=source, op="sample_every", args=(2.0, 1))
+        assert spec.args == (2, 1)
+        assert len(spec.materialize()) == len(source.materialize()[1::2])
+        pcs = FilterSpec(source=source, op="select_pcs", args=([16.0, 20],))
+        assert pcs.args == ((16, 20),)
+
+    def test_service_rejects_a_suite_that_can_only_fail(self):
+        from repro.service.jobs import JobSpec
+
+        bad = {
+            "kind": "filter",
+            "source": {"kind": "kernel", "name": "sieve"},
+            "op": "window",
+            "args": [1],
+        }
+        with pytest.raises(ConfigurationError):
+            JobSpec.from_request({"experiments": ["table1"], "suite": bad})
+
+
+class TestPhasedWeights:
+    @pytest.mark.parametrize(
+        "first, second", [(-1.0, 1.0), (float("nan"), 1.0), (0.0, 0.0), ("1", 1.0)]
+    )
+    def test_bad_weights_fail_at_construction(self, first, second):
+        with pytest.raises(ConfigurationError):
+            PhasedModelSpec(phases=((BiasModelSpec(), first), (AlternatingModelSpec(), second)))
+
+    def test_zero_weight_beside_a_positive_one(self):
+        spec = PhasedModelSpec(phases=((BiasModelSpec(), 0), (AlternatingModelSpec(), 2)))
+        assert spec.phases[0][1] == 0.0
+        assert spec.build() is not None
