@@ -8,7 +8,9 @@ pays exactly once per content key.  The suite benchmarks mirror
 ``bench_pipeline.py`` on the VM-kernel universe: ``cold`` is the full
 price of a kernels-suite reproduction, ``warm`` is the pure pipeline
 overhead of rerunning it against a populated store (the spec-addressed
-reuse headroom the workload layer buys).
+reuse headroom the workload layer buys), and ``warm_per_experiment``
+is that rerun as ``repro run all`` makes it, one pipeline call per
+experiment.
 """
 
 import pytest
@@ -109,3 +111,18 @@ def test_kernels_run_all_warm(benchmark, tmp_path_factory):
     store_dir = tmp_path_factory.mktemp("kernels-warm")
     _run_all_kernels(store_dir)  # populate once
     benchmark(_run_all_kernels, store_dir)
+
+
+def _run_each_kernels_experiment(cache_dir) -> None:
+    context = ExperimentContext(cache_dir=cache_dir, suite=kernel_suite(BENCH_SCALE))
+    for experiment_id in all_experiment_ids():
+        report = context.pipeline.run_experiments([experiment_id])
+        assert report.ok and not report.computed, report.failures
+
+
+def test_kernels_run_all_warm_per_experiment(benchmark, tmp_path_factory):
+    # A warm pass as `repro run all` makes it: a fresh context, then one
+    # plan and one run per experiment against the populated store.
+    store_dir = tmp_path_factory.mktemp("kernels-warm-each")
+    _run_all_kernels(store_dir)  # populate once
+    benchmark(_run_each_kernels_experiment, store_dir)

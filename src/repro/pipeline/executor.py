@@ -39,7 +39,10 @@ materializes its targets:
    first.
 4. **Checkpointing.**  When the store is on disk, the executor
    persists an incremental ``run-report.json``
-   (:mod:`~repro.pipeline.runreport`) after every node completion.
+   (:mod:`~repro.pipeline.runreport`) after every node it computes or
+   fails, whenever its ledger changed since its last write.  A run
+   that computes and fails nothing leaves a report it did not write
+   alone, so a warm pass over a store that holds one writes no file.
    A killed run resumes with ``resume=True`` (CLI ``--resume``):
    the planner replans against the store — which content-addresses
    everything already on disk — and the prior report, so only the
@@ -368,7 +371,7 @@ class ExecutionReport:
     attempts: dict[str, int] = field(default_factory=dict)
     #: node key -> fault kinds hit on the way (including the final one).
     fault_kinds: dict[str, list[str]] = field(default_factory=dict)
-    #: where the incremental run report was checkpointed (None: memory-only).
+    #: where this call wrote the run report (None: it wrote none).
     run_report_path: Path | None = None
 
     @property
@@ -448,6 +451,16 @@ class Executor:
         Whether to persist the incremental ``run-report.json`` (the
         service disables it: its job registry is the ledger, and many
         concurrent jobs would clobber one report file).
+
+    The executor keeps one ledger across all its ``run()`` calls, so
+    ``repro run all``'s per-experiment calls share one report.  A node
+    the ledger already holds at the same digest keeps that record when
+    a later call only serves it again with the same outcome (from the
+    store, from the failure memo, or skipped again); new work or a new
+    outcome replaces it.  The report is written when the ledger
+    changed since the last write; a call that computes and fails
+    nothing writes it only if this executor wrote it before or no
+    report exists yet.
     """
 
     def __init__(
@@ -479,8 +492,12 @@ class Executor:
         self.on_event = on_event
         self.checkpoint = checkpoint
         # The cumulative run report (spans every run() of this executor,
-        # so `repro run all`'s per-experiment calls share one ledger).
+        # so `repro run all`'s per-experiment calls share one ledger),
+        # whether it changed since the last write, and whether this
+        # executor has written it.
         self._report: RunReport | None = None
+        self._unsaved = False
+        self._wrote = False
         self._prior: RunReport | None = None
         self._prior_loaded = False
 
@@ -516,21 +533,54 @@ class Executor:
             )
         return self._report
 
-    def _checkpoint(self) -> Path | None:
-        """Persist the run report (atomic, under the store lock).
+    def _note(self, key: str, record: NodeRecord, *, served: bool = False) -> None:
+        """Enter one node's record in the ledger and emit it.
 
-        Checkpointing must never fail the run: a locked or unwritable
-        report path degrades to warn-and-continue.
+        ``served`` marks a node this call did no work for (a cache hit,
+        a known failure, a skip): it keeps the record the ledger holds
+        at the same digest with the same outcome (a computed node
+        served again counts as cached).
+        """
+        assert self._report is not None
+        held = self._report.nodes.get(key)
+        kept = (
+            served
+            and held is not None
+            and held.digest == record.digest
+            and {"computed": "cached"}.get(held.status, held.status) == record.status
+        )
+        if not kept:
+            self._report.nodes[key] = record
+            self._unsaved = True
+        self._emit(key, self._report.nodes[key])
+
+    def _checkpoint(self, report: ExecutionReport, *, replace: bool = True) -> None:
+        """Persist the run report if the ledger changed since the last
+        write (atomic, under the store lock), noting the path in
+        ``report``.
+
+        ``replace=False`` leaves a report this executor did not write in
+        place.  Checkpointing must never fail the run: a locked or
+        unwritable report path degrades to warn-and-continue.
         """
         if not self.checkpoint or self.store.root is None or self._report is None:
-            return None
-        self._report.known_failures = self.memo.snapshot()
+            return
+        known_failures = self.memo.snapshot()
+        if known_failures != self._report.known_failures:
+            self._report.known_failures = known_failures
+            self._unsaved = True
+        if not self._unsaved:
+            return
+        if not replace and not self._wrote and RunReport.path_for(self.store.root).exists():
+            return  # another run's report
         try:
             with self.store.lock:
-                return self._report.save(self.store.root)
+                report.run_report_path = self._report.save(self.store.root)
         except OSError as exc:  # pragma: no cover - environment-dependent
             logger.warning("could not checkpoint run report: %s", exc)
-            return None
+            return
+        self._unsaved = False
+        self._wrote = True
 
     # -- execution -------------------------------------------------------
 
@@ -549,7 +599,7 @@ class Executor:
 
     def _run(self, plan: Plan) -> ExecutionReport:
         report = ExecutionReport()
-        run_report = self._run_report(plan)
+        self._run_report(plan)
         prior = self.prior_report
         values = report.values
         run_set: set[str] = set()
@@ -569,13 +619,16 @@ class Executor:
                         key, planned.digest
                     )
                     prior_record = prior.record(key, planned.digest) if prior else None
-                    run_report.nodes[key] = NodeRecord(
-                        digest=planned.digest,
-                        status="cached",
-                        attempts=prior_record.attempts if prior_record else 0,
-                        resumed=resumed,
+                    self._note(
+                        key,
+                        NodeRecord(
+                            digest=planned.digest,
+                            status="cached",
+                            attempts=prior_record.attempts if prior_record else 0,
+                            resumed=resumed,
+                        ),
+                        served=True,
                     )
-                    self._emit(key, run_report.nodes[key])
                     return
                 # Corrupt/truncated object: recompute (its upstreams may
                 # themselves be idle-cached, so prepare them too).
@@ -599,8 +652,10 @@ class Executor:
             if needs_value[key]:
                 prepare(key)
 
-        report.run_report_path = self._checkpoint()
         ordered_run = [key for key in plan.nodes if key in run_set]
+        # A call with nothing to run writes only a report this executor
+        # wrote, or one that does not exist yet.
+        self._checkpoint(report, replace=bool(ordered_run))
         if not ordered_run:
             return report
 
@@ -613,12 +668,15 @@ class Executor:
                     dead.add(consumer)
                     report.skipped.append(consumer)
                     report.skip_causes[consumer] = cause
-                    run_report.nodes[consumer] = NodeRecord(
-                        digest=plan.nodes[consumer].digest,
-                        status="skipped",
-                        error=f"upstream artifact {cause} failed",
+                    self._note(
+                        consumer,
+                        NodeRecord(
+                            digest=plan.nodes[consumer].digest,
+                            status="skipped",
+                            error=f"upstream artifact {cause} failed",
+                        ),
+                        served=True,
                     )
-                    self._emit(consumer, run_report.nodes[consumer])
                     mark_dead(consumer, cause)
 
         def finish_success(key: str, payload: Any) -> None:
@@ -628,15 +686,17 @@ class Executor:
             report.attempts[key] = state.attempts
             if state.faults:
                 report.fault_kinds[key] = list(state.faults)
-            run_report.nodes[key] = NodeRecord(
-                digest=plan.nodes[key].digest,
-                status="computed",
-                attempts=state.attempts,
-                faults=list(state.faults),
-                elapsed=state.elapsed,
+            self._note(
+                key,
+                NodeRecord(
+                    digest=plan.nodes[key].digest,
+                    status="computed",
+                    attempts=state.attempts,
+                    faults=list(state.faults),
+                    elapsed=state.elapsed,
+                ),
             )
-            self._emit(key, run_report.nodes[key])
-            self._checkpoint()
+            self._checkpoint(report)
 
         def finish_failure(key: str, kind: FaultKind, error: str) -> None:
             state = states[key]
@@ -648,17 +708,21 @@ class Executor:
             )
             report.attempts[key] = state.attempts
             report.fault_kinds[key] = list(state.faults) or [kind.value]
-            run_report.nodes[key] = NodeRecord(
-                digest=plan.nodes[key].digest,
-                status="failed",
-                attempts=state.attempts,
-                faults=list(state.faults) or [kind.value],
-                error=error[:2000],
+            self._note(
+                key,
+                NodeRecord(
+                    digest=plan.nodes[key].digest,
+                    status="failed",
+                    attempts=state.attempts,
+                    faults=list(state.faults) or [kind.value],
+                    error=error[:2000],
+                ),
+                # No attempt in this call: a known failure from the memo.
+                served=state.attempts == 0,
             )
-            self._emit(key, run_report.nodes[key])
             dead.add(key)
             mark_dead(key, cause=key)
-            self._checkpoint()
+            self._checkpoint(report)
 
         def store_value(key: str, payload: Any, token: str) -> tuple[bool, str]:
             """Persist one computed value; (ok, error message)."""

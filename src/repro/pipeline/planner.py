@@ -25,6 +25,7 @@ compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..errors import PipelineError
 from .artifacts import (
@@ -43,6 +44,10 @@ from .artifacts import (
 )
 from .runreport import RunReport
 from .store import ArtifactStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.base import Experiment
+    from ..workload_spec import WorkloadSpec
 
 __all__ = ["PlannedNode", "Plan", "Planner"]
 
@@ -128,10 +133,28 @@ class Plan:
 
 
 class Planner:
-    """Expands experiment ids / artifact keys into executable plans."""
+    """Expands experiment ids / artifact keys into executable plans.
+
+    One planner plans many times (``repro run all`` plans once per
+    experiment), so its plans share one universe and the content
+    address of every node that is not a render, rebuilt only when the
+    suite's content key, its set of streamed members or the experiment
+    registry changes.  The content key covers the bytes of trace-file
+    members, so rewriting an unpinned file re-keys the next plan.  A
+    render's address fingerprints its runner's code and the constants
+    it reads, which can change within a process, so render addresses
+    are computed on every plan, and so is every node's cache state
+    (``store.has``).  :meth:`universe` builds afresh and needs no
+    content key, so a one-off caller (the service validating a
+    request) pays for neither.
+    """
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
+        # (inputs, universe, non-render addresses computed so far): one
+        # tuple, so a reader never pairs one build's universe with
+        # another's addresses.
+        self._built: tuple | None = None
 
     # -- the universe ---------------------------------------------------
 
@@ -143,21 +166,44 @@ class Planner:
     def universe(self) -> dict[str, ArtifactNode]:
         """Every artifact node this configuration can produce, keyed and
         in dependency (topological) order."""
+        return self._build_universe(*self._sources())
+
+    def _sources(
+        self,
+    ) -> tuple[tuple[WorkloadSpec, ...], tuple[tuple[str, Experiment], ...]]:
+        """What the universe is built from besides the config: the
+        streamed suite members and the registered experiments."""
         from ..experiments.registry import EXPERIMENTS  # lazy: avoid cycle
 
-        names = self.trace_names()
         assert self.config.suite is not None
+        members = self.config.suite.members
+        streamed = tuple(member for member in members if member.streams())
+        return streamed, tuple(EXPERIMENTS.items())
+
+    def _current(self) -> tuple[dict[str, ArtifactNode], dict[str, str]]:
+        """The universe and the known non-render addresses, rebuilt when
+        what they were built from changed."""
+        assert self.config.suite is not None
+        sources = self._sources()
+        inputs = (self.config, self.config.suite.content_key(), sources)
+        built = self._built
+        if built is None or built[0] != inputs:
+            built = self._built = (inputs, self._build_universe(*sources), {})
+        return built[1], built[2]
+
+    def _build_universe(
+        self,
+        streamed_members: tuple[WorkloadSpec, ...],
+        experiments: tuple[tuple[str, Experiment], ...],
+    ) -> dict[str, ArtifactNode]:
+        names = self.trace_names()
         # Out-of-core members (large binary trace files) get per-trace
         # nodes that stream straight from their file: no dependency on
         # the materialized suite-traces artifact, nothing shipped to
         # worker processes.  Suite-*level* artifacts (the merged
         # profile, experiments that consume raw traces) still
         # materialize everything — see docs/TRACES.md, "Limits".
-        streamed = {
-            member.label: member
-            for member in self.config.suite.members
-            if member.streams()
-        }
+        streamed = {member.label: member for member in streamed_members}
         nodes: dict[str, ArtifactNode] = {}
 
         def add(node: ArtifactNode) -> None:
@@ -190,7 +236,7 @@ class Planner:
                 )
         add(SweepNode(key="sweep", deps=sweep_parts))
         add(MisclassificationNode(key="misclassification", deps=("sweep",)))
-        for experiment_id, experiment in EXPERIMENTS.items():
+        for experiment_id, experiment in experiments:
             add(
                 RenderNode(
                     key=f"render:{experiment_id}",
@@ -241,7 +287,7 @@ class Planner:
         the store holds is reused, what it lacks is recomputed, and the
         report says which is which.
         """
-        universe = self.universe()
+        universe, known = self._current()
         for key in targets:
             if key not in universe:
                 raise PipelineError(
@@ -266,9 +312,14 @@ class Planner:
         ordered = [key for key in universe if key in needed]
         for key in ordered:
             node = universe[key]
-            digests[key] = node_digest(
-                node, self.config, [digests[dep] for dep in node.deps]
-            )
+            digest = known.get(key)
+            if digest is None:
+                digest = node_digest(
+                    node, self.config, [digests[dep] for dep in node.deps]
+                )
+                if not isinstance(node, RenderNode):
+                    known[key] = digest
+            digests[key] = digest
             for dep in node.deps:
                 consumers[dep].append(key)
         for key in ordered:

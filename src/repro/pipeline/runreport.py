@@ -1,13 +1,23 @@
 """Incremental run reports: the executor's crash-recovery checkpoint.
 
 The executor persists a ``run-report.json`` into the store root after
-every node completion, recording — per node key — the content address
-it ran against, its terminal status, how many attempts it took, which
-fault kinds it hit, and its timing.  Because artifacts themselves are
-content-addressed on disk, this file is pure *bookkeeping*: a killed
-run can be resumed by replanning against the store (which already
-knows what exists) and the report (which knows what the previous run
-did), and only the missing nodes recompute.
+every node it computes or fails, recording — per node key — the
+content address it ran against, its terminal status, how many attempts
+it took, which fault kinds it hit, and its timing.  Because artifacts
+themselves are content-addressed on disk, this file is pure
+*bookkeeping*: a killed run can be resumed by replanning against the
+store (which already knows what exists) and the report (which knows
+what the previous run did), and only the missing nodes recompute.
+
+One executor keeps one ledger across its runs (``repro run all`` runs
+once per experiment).  A node it only serves again — from the store,
+from its failure memo, or skipped again — keeps the record the ledger
+holds for it at the same digest and with the same outcome (a computed
+node served again counts as cached), and the file is written only
+when the ledger changed since the last write.  A run that computes and
+fails nothing writes the file only if the same executor wrote it
+before or no report exists, so a warm pass over a store that holds a
+report leaves it, and every other file, untouched.
 
 Schema (``version`` 1)::
 

@@ -727,7 +727,11 @@ class TraceFileSpec(WorkloadSpec):
         from .trace.io import load_trace
 
         self._check_pin()
-        return load_trace(self.path).with_name(self.label)
+        try:
+            trace = load_trace(self.path)
+        except OSError as exc:
+            raise TraceError(f"cannot read trace file {self.path!r}: {exc}") from None
+        return trace.with_name(self.label)
 
     def _check_pin(self) -> None:
         if self.sha256:

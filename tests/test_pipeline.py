@@ -152,6 +152,71 @@ class TestContentAddressing:
         assert all(planned.cached for planned in computed.nodes.values())
 
 
+class TestPlannerReuse:
+    """One planner reuses its universe and non-render addresses across
+    plans; these pin what must still change between two plans."""
+
+    def test_rewritten_trace_file_rekeys(self, tmp_path):
+        from repro.trace.io import save_trace
+        from repro.trace.stream import Trace
+        from repro.workload_spec import KernelSpec, SuiteSpec, TraceFileSpec
+
+        path = tmp_path / "saved.rbt"
+        save_trace(Trace([16, 20] * 300, [1, 0] * 300, name="saved"), path)
+        suite = SuiteSpec(
+            name="mixed",
+            members=(KernelSpec(name="sieve", size=64), TraceFileSpec(path=str(path))),
+        )
+        planner = Planner(PipelineConfig(suite=suite, history_lengths=(0, 1)))
+        keys = ["traces", "profile:vm/sieve", "profile:saved", "sweep"]
+        before = planner.plan(keys)
+        # A different length, so the size differs even within one mtime tick.
+        save_trace(Trace([16, 24] * 400, [0, 1] * 400, name="saved"), path)
+        after = planner.plan(keys)
+        for key in keys:
+            assert after.digest_of(key) != before.digest_of(key), key
+
+    def test_deleted_object_reads_not_cached(self, tmp_path):
+        small_context(tmp_path).pipeline.value("sweep")
+        planner = Planner(PipelineConfig(**SMALL))
+        store = ArtifactStore(tmp_path)
+        first = planner.plan(["sweep"], store)
+        assert all(planned.cached for planned in first.nodes.values())
+        store.object_path(first.digest_of("sweep")).unlink()
+        second = planner.plan(["sweep"], store)
+        assert not second.nodes["sweep"].cached
+        assert second.nodes["traces"].cached
+
+    def test_stream_threshold_change_switches_nodes(self, tmp_path, monkeypatch):
+        from repro.pipeline.artifacts import ProfileNode, StreamedProfileNode
+        from repro.trace.io import save_trace
+        from repro.trace.stream import Trace
+        from repro.workload_spec import SuiteSpec, TraceFileSpec
+
+        path = tmp_path / "big.rbt"
+        save_trace(
+            Trace([16, 20] * 3000, [1, 0] * 3000, name="big"),
+            path,
+            version=2,
+            chunk_len=1024,
+        )
+        suite = SuiteSpec(name="files", members=(TraceFileSpec(path=str(path)),))
+        planner = Planner(PipelineConfig(suite=suite, history_lengths=(0, 1)))
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", str(1 << 40))
+        materialized = planner.plan(["sweep", "profile:big"])
+        assert "traces" in materialized.nodes
+        assert type(materialized.nodes["profile:big"].node) is ProfileNode
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "0")
+        streamed = planner.plan(["sweep", "profile:big"])
+        assert "traces" not in streamed.nodes
+        assert isinstance(streamed.nodes["profile:big"].node, StreamedProfileNode)
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", str(1 << 40))
+        again = planner.plan(["sweep", "profile:big"])
+        assert "traces" in again.nodes
+        assert type(again.nodes["profile:big"].node) is ProfileNode
+        assert again.digest_of("sweep") == materialized.digest_of("sweep")
+
+
 class TestStoreRecovery:
     def test_corrupted_object_recomputed(self, tmp_path):
         context = small_context(tmp_path)
@@ -470,6 +535,50 @@ class TestByteDeterminism:
             assert small_context(tmp_path).pipeline.run_experiments(["fig1", "fig3"]).ok
             payloads.append(report_path.read_bytes())
         assert payloads[0] == payloads[1]
+
+    @staticmethod
+    def run_all(cache_dir):
+        """One ``repro run all`` pass: a fresh context, one pipeline call
+        per experiment, as the CLI and perfbench make it."""
+        context = small_context(cache_dir)
+        reports = [
+            context.pipeline.run_experiments([experiment_id])
+            for experiment_id in all_experiment_ids()
+        ]
+        assert all(report.ok for report in reports)
+        return reports
+
+    @staticmethod
+    def files(root):
+        return {
+            path: (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+            for path in sorted(root.rglob("*"))
+            if path.is_file()
+            for stat in (path.stat(),)
+        }
+
+    def test_warm_pass_writes_nothing(self, tmp_path):
+        from repro.pipeline.runreport import RUN_REPORT_NAME
+
+        self.run_all(tmp_path)
+        before = self.files(tmp_path)
+        assert tmp_path / RUN_REPORT_NAME in before
+        warm = self.run_all(tmp_path)
+        assert all(not report.computed for report in warm)
+        assert self.files(tmp_path) == before
+        assert all(report.run_report_path is None for report in warm)
+
+    def test_warm_pass_without_report_writes_a_complete_one(self, tmp_path):
+        from repro.pipeline.runreport import RUN_REPORT_NAME
+
+        self.run_all(tmp_path)
+        report_path = tmp_path / RUN_REPORT_NAME
+        report_path.unlink()
+        warm = self.run_all(tmp_path)
+        touched = {key for report in warm for key in report.cached}
+        nodes = json.loads(report_path.read_text())["nodes"]
+        assert set(nodes) == touched
+        assert {record["status"] for record in nodes.values()} == {"cached"}
 
     def test_gc_and_manifest_byte_identical_across_runs(self, tmp_path):
         # Stale-scale artifacts give gc something to collect.

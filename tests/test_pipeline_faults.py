@@ -371,6 +371,85 @@ class TestResume:
         assert computed and computed.isdisjoint(done_before)
 
 
+class TestRunReportLedger:
+    """One executor's ledger across its ``run()`` calls: ``repro run
+    all`` makes one call per experiment, sharing one report."""
+
+    def test_later_call_keeps_computed_record(self, tmp_path):
+        context = small_context(
+            tmp_path,
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
+            faults=FaultPlan.from_text("seed=5,store-write=0.5@sweep"),
+        )
+        assert context.pipeline.run_experiments(["fig5"]).ok
+        ledger = context.pipeline.executor._report.nodes
+        first = ledger["sweep"].to_dict()
+        assert first["status"] == "computed"
+        assert first["attempts"] == 2 and first["faults"] == ["store-io"]
+
+        # fig6 reads the sweep back from the store: the ledger keeps the
+        # record of the call that computed it, on disk too.
+        report = context.pipeline.run_experiments(["fig6"])
+        assert report.ok and "sweep" in report.cached
+        assert ledger["sweep"].to_dict() == first
+        saved = json.loads((tmp_path / "run-report.json").read_text())
+        assert saved["nodes"]["sweep"] == first
+
+    def test_known_failure_keeps_its_attempts(self, tmp_path):
+        key = "sweep:compress/bigtest.in"
+        context = small_context(
+            tmp_path,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.01),
+            faults=FaultPlan.from_text("seed=1,store-write=1@sweep:compress"),
+        )
+        first = context.pipeline.run_experiments(["fig5"])
+        assert first.failure_for(key).attempts == 2
+        ledger = context.pipeline.executor._report.nodes
+        record = ledger[key].to_dict()
+        assert record["status"] == "failed" and record["attempts"] == 2
+
+        # The next call fails fast from the memo, without an attempt.
+        second = context.pipeline.run_experiments(["fig6"])
+        assert second.failure_for(key) is not None
+        assert second.attempts[key] == 0
+        assert ledger[key].to_dict() == record
+
+    def test_new_outcome_replaces_record(self, tmp_path):
+        key = "sweep:compress/bigtest.in"
+        context = small_context(
+            tmp_path, faults=FaultPlan.from_text("seed=1,store-write=1@sweep:compress")
+        )
+        assert not context.pipeline.run_experiments(["fig5"]).ok
+        ledger = context.pipeline.executor._report.nodes
+        assert ledger[key].status == "failed" and ledger["sweep"].status == "skipped"
+
+        # Another run fills the store; the next call reads both back.
+        assert small_context(tmp_path).pipeline.run_experiments(["fig5"]).ok
+        pipeline = context.pipeline
+        report = pipeline.execute(pipeline.plan([key, "sweep"]))
+        assert report.ok and set(report.cached) == {key, "sweep"}
+        assert ledger[key].status == ledger["sweep"].status == "cached"
+
+    def test_cold_pass_writes_report_once_per_computed_node(self, tmp_path, monkeypatch):
+        saves = []
+        original = RunReport.save
+
+        def counting(self, root):
+            saves.append(root)
+            return original(self, root)
+
+        monkeypatch.setattr(RunReport, "save", counting)
+        context = small_context(tmp_path)
+        computed = 0
+        for experiment_id in registry_module.all_experiment_ids():
+            report = context.pipeline.run_experiments([experiment_id])
+            assert report.ok, report.failures
+            computed += len(report.computed)
+        assert computed and len(saves) == computed
+        ledger = json.loads((tmp_path / "run-report.json").read_text())["nodes"]
+        assert {record["status"] for record in ledger.values()} == {"computed"}
+
+
 class TestCrashConsistency:
     def test_failed_put_leaves_no_litter(self, tmp_path, monkeypatch):
         from repro.pipeline import store as store_module

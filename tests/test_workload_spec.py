@@ -246,6 +246,15 @@ class TestMaterialize:
         assert np.array_equal(loaded.pcs, trace.pcs)
         assert np.array_equal(loaded.outcomes, trace.outcomes)
 
+    def test_trace_file_missing_raises_trace_error(self, tmp_path):
+        # As PerfLbrSpec does for a missing capture: the package's own
+        # error, not a bare OSError.
+        spec = TraceFileSpec(path=str(tmp_path / "missing.rbt"))
+        with pytest.raises(TraceError, match="cannot read trace file"):
+            spec.materialize()
+        with pytest.raises(TraceError, match="cannot read perf trace"):
+            PerfLbrSpec(path=str(tmp_path / "missing.txt")).materialize()
+
     def test_trace_file_pin_detects_modification(self, tmp_path):
         path = tmp_path / "t.rbt"
         save_trace(Trace([4, 8], [1, 0], name="t"), path)
